@@ -3,7 +3,10 @@
 Everything here is a deterministic function of the inputs.  Quantities with
 an exact rational representation (hitting probabilities through the
 convolution and Stirling routes) are returned as ``Fraction``; the rest are
-double precision floats evaluated through log-gamma.
+double precision floats evaluated through log-gamma.  The exact kernels
+(the renewal convolution and the Stirling transition sum) accumulate plain
+integers over one known denominator and divide once at the end, so a float
+result is the correctly rounded value of the exact rational.
 
 Conventions: states are 1-based positive integers; ``alpha`` always means
 ``exp(-t)`` for the time point under consideration.
@@ -13,6 +16,8 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -100,29 +105,35 @@ def fixation_pgf(i: int, tp: TimePoint, z: float) -> float:
     return (1.0 - (1.0 - z) ** tp.alpha) ** i
 
 
-def _transition_stirling_exact(i: int, j: int, alpha: Fraction) -> Fraction:
-    # (-1)^{i+j} (i!/j!) sum_k S(k,i) alpha^k s(j,k), all in exact rationals
-    # (alpha enters as the exact binary rational of the float exp(-t)).
-    acc = Fraction(0)
-    for k in range(i, j + 1):
-        acc += stirling_second(k, i) * alpha**k * stirling_first(j, k)
+def _transition_stirling(i: int, j: int, alpha: float) -> float:
+    # (-1)^{i+j} (i!/j!) sum_k S(k,i) s(j,k) alpha^k, exactly: with
+    # alpha = a/b (b a power of two) the sum times b^j / a^i is the integer
+    # sum_k S(k,i) s(j,k) a^(k-i) b^(j-k), built by Horner from k = j down.
+    a, b = alpha.as_integer_ratio()
+    acc = 0
+    b_pow = 1
+    for k in range(j, i - 1, -1):
+        acc = acc * a + stirling_second(k, i) * stirling_first(j, k) * b_pow
+        b_pow *= b
     sign = -1 if (i + j) % 2 else 1
-    return sign * Fraction(factorial(i), factorial(j)) * acc
+    # int / int is correctly rounded, as float(Fraction) is.
+    return (sign * factorial(i) * a**i * acc) / (factorial(j) * b**j)
 
 
 def fixation_transition(i: int, j: int, tp: TimePoint, formula: str = "stirling") -> float:
     """P(state j at time t | state i at time 0) for the fixation line.
 
-    ``formula="stirling"`` runs the exact-rational double Stirling sum
-    (valid without cancellation trouble for i, j <= 60); ``"binomial"``
-    evaluates the alternating generalized-binomial sum in floats.
+    ``formula="stirling"`` evaluates the double Stirling sum exactly, in
+    integers over the binary rational ``alpha`` (the float exp(-t)), and
+    rounds once; ``"binomial"`` evaluates the alternating
+    generalized-binomial sum in floats.
     """
     if i < 1 or j < 1:
         raise ValueError(f"states must be positive, got ({i}, {j})")
     if j < i:
         return 0.0  # the fixation line is nondecreasing
     if formula == "stirling":
-        val = float(_transition_stirling_exact(i, j, Fraction(tp.alpha)))
+        val = _transition_stirling(i, j, tp.alpha)
     elif formula == "binomial":
         terms = [
             ((-1) ** k) * math.comb(i, k) * general_binomial(tp.alpha * k, j)
@@ -192,25 +203,51 @@ def block_tail_via_duality(n: int, i: int, tp: TimePoint) -> float:
 # hitting probabilities of the fixation line
 # ---------------------------------------------------------------------------
 
-_renewal_cache: list[Fraction] = [Fraction(1)]
-
-
-def _renewal_mass(d: int) -> Fraction:
-    """Probability that the jump chain increments ever sum to exactly d.
+class _RenewalMasses:
+    """Probabilities f(d) that the jump chain increments ever sum to exactly d.
 
     Dynamic program over totals: f(0) = 1 and
     f(d) = sum_{m=1..d} f(d-m) / (m (m+1)), which collapses the sum over
-    the number of jumps analytically.
+    the number of jumps analytically.  For k <= d every f(k) is an integer
+    over W = d! lcm{m (m+1) : m <= d}, so the recursion runs on the
+    numerators f(k) W, weighted by the integers lcm / (m (m+1)), with one
+    exact division by the lcm per new entry.  Growth rescales the stored
+    numerators to the new W; the numerators, W and the ``Fraction`` values
+    grow under one lock.
     """
-    while len(_renewal_cache) <= d:
-        dd = len(_renewal_cache)
-        _renewal_cache.append(
-            sum(
-                (Fraction(1, m * (m + 1)) * _renewal_cache[dd - m] for m in range(1, dd + 1)),
-                Fraction(0),
-            )
-        )
-    return _renewal_cache[d]
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._nums = [1]
+        self._lcm = 1
+        self._den = 1
+        self._values = [Fraction(1)]
+
+    def upto(self, d: int) -> list[Fraction]:
+        """[f(0), ..., f(d)] as exact rationals."""
+        with self._lock:
+            if len(self._values) <= d:
+                self._grow(d)
+            return self._values[: d + 1]
+
+    def _grow(self, d: int) -> None:
+        top = len(self._nums) - 1
+        lcm = math.lcm(self._lcm, *(m * (m + 1) for m in range(top + 1, d + 1)))
+        den = factorial(d) * lcm
+        scale = den // self._den
+        nums = [v * scale for v in self._nums]
+        weights = [lcm // (m * (m + 1)) for m in range(1, d + 1)]
+        for k in range(top + 1, d + 1):
+            # sum_{m=1..k} nums[k-m] weights[m-1]
+            num, rem = divmod(sum(map(operator.mul, nums[k - 1 :: -1], weights)), lcm)
+            if rem:
+                raise ArithmeticError(f"renewal numerator at d={k} is not an integer")
+            nums.append(num)
+            self._values.append(Fraction(num, den))
+        self._nums, self._lcm, self._den = nums, lcm, den
+
+
+_RENEWAL = _RenewalMasses()
 
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
@@ -247,7 +284,7 @@ def hitting_probability(i: int, j: int, method: HittingMethod = HittingMethod.CO
         ) else 0.0
     d = j - i
     if method is HittingMethod.CONVOLUTION:
-        return _renewal_mass(d)
+        return _RENEWAL.upto(d)[d]
     if method is HittingMethod.STIRLING_DOUBLE:
         acc = sum(
             (
@@ -275,23 +312,13 @@ def hitting_probability(i: int, j: int, method: HittingMethod = HittingMethod.CO
 def hitting_gf_coefficients(i: int, J: int) -> list[float]:
     """Coefficients of z^{j-1}, j = i..J, of z^i / ((1-z)(-log(1-z))).
 
-    Extracted by exact rational power-series division: with
-    B(z) = (-log(1-z))/z the reciprocal series A = 1/B is computed term by
-    term, and the 1/(1-z) factor turns into partial sums.
+    Since 1 / (1 - sum_{m>=1} z^m / (m (m+1))) = z / ((1-z)(-log(1-z))),
+    the coefficients are the renewal masses f(0), ..., f(J - i) of the
+    convolution route, rounded to floats.
     """
     if J < i:
         raise ValueError(f"need J >= i, got i={i}, J={J}")
-    m = J - i
-    b = [Fraction(1, n + 1) for n in range(m + 1)]
-    a = [Fraction(1)] + [Fraction(0)] * m
-    for n in range(1, m + 1):
-        a[n] = -sum(b[k] * a[n - k] for k in range(1, n + 1))
-    out: list[float] = []
-    acc = Fraction(0)
-    for n in range(m + 1):
-        acc += a[n]
-        out.append(float(acc))
-    return out
+    return [float(f) for f in _RENEWAL.upto(J - i)]
 
 
 def hitting_asymptotic(j: int) -> float:

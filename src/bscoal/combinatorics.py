@@ -3,7 +3,7 @@
 Stirling numbers are kept as arbitrary-precision Python integers in lazily
 grown triangular tables, so every identity built on top of them (spectral
 decompositions, hitting probabilities, transition formulas) can be checked
-in exact arithmetic.  Floating-point helpers (``log_gamma``,
+in exact arithmetic.  Floating-point helpers (``signed_log_gamma``,
 ``general_binomial``) live here as well because the analytic layer needs
 them next to the exact tables.
 """
@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 import os
 import threading
-from fractions import Fraction
 
 __all__ = [
     "DEFAULT_NMAX",
@@ -22,7 +21,6 @@ __all__ = [
     "stirling_first",
     "stirling_second",
     "general_binomial",
-    "log_gamma",
     "signed_log_gamma",
     "factorial",
 ]
@@ -112,13 +110,6 @@ def stirling_second(n: int, k: int, *, n_max: int = DEFAULT_NMAX) -> int:
         return _second_rows[n][k]
 
 
-def log_gamma(x: float) -> float:
-    """Natural log of the gamma function for x > 0."""
-    if x <= 0:
-        raise ValueError(f"log_gamma requires a positive argument, got {x}")
-    return math.lgamma(x)
-
-
 def signed_log_gamma(x: float) -> tuple[int, float]:
     """(sign, log|Gamma(x)|) for any real x that is not a pole.
 
@@ -168,13 +159,3 @@ def general_binomial(z: float, j: int) -> float:
         return 0.0
     sign = s_num * s_den
     return sign * math.exp(l_num - l_den - math.lgamma(j + 1.0))
-
-
-def exact_binomial(n: int, k: int) -> int:
-    """Integer binomial coefficient (exact)."""
-    return math.comb(n, k)
-
-
-def fraction_from_ints(num: int, den: int) -> Fraction:
-    """Exact rational num/den (kept for symmetry with the JSON codec)."""
-    return Fraction(num, den)

@@ -21,7 +21,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 __all__ = [
-    "SimConfig",
     "PathSample",
     "EstimateWithError",
     "replicate_rng",
@@ -34,17 +33,6 @@ __all__ = [
     "scaled_marginal_sample",
     "ks_distance",
 ]
-
-
-@dataclass(frozen=True)
-class SimConfig:
-    """Everything that determines a simulation run; equal configs give
-    bitwise-identical output."""
-
-    seed: int
-    reps: int
-    horizon: float | None = None
-    state_cap: int | None = None
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,9 @@ All matrices in this module are 1-indexed n x n truncations of infinite
 triangular matrices, stored as exact rationals.  Triangularity makes every
 product of truncations equal the truncation of the product, so the
 identities R L = I and R diag(D) L = generator hold exactly at any
-truncation size.
+truncation size.  They are checked in integer-scaled exact arithmetic:
+each row of R, each column of L and the vector D are multiplied by the
+lcm of their denominators, and the products run over the triangle only.
 
 Covered generators:
 
@@ -20,6 +22,8 @@ from __future__ import annotations
 
 import enum
 import json
+import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -57,7 +61,7 @@ class DegenerateSpectrumError(ValueError):
 
 @dataclass(frozen=True)
 class TriangularMatrix:
-    """Dense 1-indexed triangular matrix of exact rationals."""
+    """Dense 1-indexed triangular matrix of exact rationals; entries off the triangle are zero."""
 
     n: int
     orientation: str  # "upper" or "lower"
@@ -68,6 +72,9 @@ class TriangularMatrix:
             raise ValueError(f"orientation must be 'upper' or 'lower', got {self.orientation!r}")
         if len(self.rows) != self.n or any(len(r) != self.n for r in self.rows):
             raise ValueError("rows must form an n x n array")
+        upper = self.orientation == "upper"
+        if any(v for i, row in enumerate(self.rows) for v in (row[:i] if upper else row[i + 1 :])):
+            raise ValueError(f"entries outside the {self.orientation} triangle must be zero")
 
     def entry(self, i: int, j: int) -> Fraction:
         """Entry at 1-based position (i, j)."""
@@ -82,40 +89,6 @@ class TriangularMatrix:
         flipped = "upper" if self.orientation == "lower" else "lower"
         return TriangularMatrix(
             self.n, flipped, tuple(zip(*self.rows))
-        )
-
-    def matmul(self, other: "TriangularMatrix") -> "TriangularMatrix":
-        if self.n != other.n:
-            raise ValueError("size mismatch")
-        n = self.n
-        out = [[Fraction(0)] * n for _ in range(n)]
-        for i in range(n):
-            row = self.rows[i]
-            for k in range(n):
-                a = row[k]
-                if a:
-                    orow = other.rows[k]
-                    oi = out[i]
-                    for j in range(n):
-                        if orow[j]:
-                            oi[j] += a * orow[j]
-        return TriangularMatrix(n, self.orientation, tuple(tuple(r) for r in out))
-
-    def scale_columns(self, d: Sequence[Fraction]) -> "TriangularMatrix":
-        """Right multiplication by diag(d)."""
-        if len(d) != self.n:
-            raise ValueError("size mismatch")
-        return TriangularMatrix(
-            self.n,
-            self.orientation,
-            tuple(tuple(v * d[j] for j, v in enumerate(row)) for row in self.rows),
-        )
-
-    def is_identity(self) -> bool:
-        return all(
-            v == (1 if i == j else 0)
-            for i, row in enumerate(self.rows)
-            for j, v in enumerate(row)
         )
 
     def to_jsonable(self) -> dict:
@@ -321,14 +294,52 @@ def recursive_decomposition(
     return SpectralDecomposition(kind, n, R, d, L)
 
 
+def _integer_scaled(vectors) -> tuple[list[list[int]], list[int]]:
+    """Each vector times the lcm of its denominators: (integer vectors, lcms)."""
+    scales = [math.lcm(*(v.denominator for v in vec)) for vec in vectors]
+    ints = [[v.numerator * (s // v.denominator) for v in vec] for vec, s in zip(vectors, scales)]
+    return ints, scales
+
+
 def verify_decomposition(dec: SpectralDecomposition) -> VerificationReport:
-    """Exact booleans: R L = I and R diag(D) L = generator truncation."""
-    rl = dec.R.matmul(dec.L)
-    rdl = dec.R.scale_columns(dec.D).matmul(dec.L)
-    gen = build_generator(dec.kind, dec.n)
+    """Exact booleans: R L = I and R diag(D) L = generator truncation.
+
+    With row i of R scaled by r_i, column j of L by l_j and D by delta
+    (each the lcm of its denominators), entry (i, j) of R L times r_i l_j
+    and of R diag(D) L times r_i delta l_j are integer sums, compared with
+    the identity and the generator scaled alike.  Only k where both
+    R[i][k] and L[k][j] can be nonzero (k between i and j for one
+    orientation) enter the sums.
+    """
+    n = dec.n
+    if not (dec.R.n == dec.L.n == len(dec.D) == n):
+        raise ValueError("size mismatch")
+    R, r = _integer_scaled(dec.R.rows)
+    L, l = _integer_scaled(list(zip(*dec.L.rows)))  # columns of L
+    (D,), (delta,) = _integer_scaled([dec.D])
+    RD = [list(map(operator.mul, row, D)) for row in R]
+    r_upper = dec.R.orientation == "upper"
+    l_upper = dec.L.orientation == "upper"
+
+    def terms(i: int, j: int) -> slice:
+        lo = max(i if r_upper else 0, 0 if l_upper else j)
+        hi = min(n - 1 if r_upper else i, j if l_upper else n - 1)
+        return slice(lo, hi + 1)
+
+    cells = [(i, j, terms(i, j)) for i in range(n) for j in range(n)]
+    gen = build_generator(dec.kind, n).rows
+    rl_ok = all(
+        sum(map(operator.mul, R[i][k], L[j][k])) == (r[i] * l[j] if i == j else 0)
+        for i, j, k in cells
+    )
+    rdl_ok = all(
+        sum(map(operator.mul, RD[i][k], L[j][k])) * gen[i][j].denominator
+        == r[i] * delta * l[j] * gen[i][j].numerator
+        for i, j, k in cells
+    )
     return VerificationReport(
         kind=dec.kind,
         n=dec.n,
-        rl_is_identity=rl.is_identity(),
-        rdl_is_generator=(rdl.rows == gen.rows),
+        rl_is_identity=rl_ok,
+        rdl_is_generator=rdl_ok,
     )

@@ -1,12 +1,15 @@
 """Transition, hitting, absorption, and expansion formulas against oracles."""
 
 import math
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bscoal import analytics
 from bscoal.analytics import (
     HittingMethod,
     TimePoint,
@@ -165,6 +168,34 @@ class TestHitting:
         coeffs = hitting_gf_coefficients(1, 10)
         for j, c in enumerate(coeffs, start=1):
             assert c == pytest.approx(float(hitting_probability(1, j)), abs=1e-12)
+
+    def test_renewal_growth_is_thread_safe(self):
+        serial = analytics._RenewalMasses().upto(150)
+        table = analytics._RenewalMasses()
+        barrier = threading.Barrier(4)
+        seen: list[dict] = [{} for _ in range(4)]
+
+        def grow(slot):
+            # each thread climbs to d = 150 in its own stride
+            barrier.wait()
+            for d in [*range(slot + 1, 151, slot + 1), 150]:
+                seen[slot][d] = table.upto(d)[d]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=grow, args=(s,)) for s in range(4)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        for values in seen:
+            assert 150 in values
+            assert all(v == serial[d] for d, v in values.items())
+        assert table.upto(150) == serial
 
     @given(j=st.integers(2, 150))
     @settings(max_examples=60)

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from bscoal.combinatorics import (
     general_binomial,
-    log_gamma,
     signed_log_gamma,
     stirling_first,
     stirling_second,
@@ -117,11 +116,3 @@ def test_signed_log_gamma_negative_signs():
     s, l = signed_log_gamma(-1.5)
     assert s == 1
     assert s * math.exp(l) == pytest.approx(4.0 * math.sqrt(math.pi) / 3.0)
-
-
-def test_log_gamma_domain():
-    assert log_gamma(5.0) == pytest.approx(math.lgamma(5.0))
-    with pytest.raises(ValueError):
-        log_gamma(0.0)
-    with pytest.raises(ValueError):
-        log_gamma(-2.5)

@@ -1,6 +1,7 @@
 """Triangular spectral decompositions: closed forms, recursions, exact products."""
 
 import json
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -108,16 +109,45 @@ def test_json_round_trip():
     assert back.orientation == dec.R.orientation
 
 
-def test_matmul_and_transpose():
+def test_transpose():
     gen = build_generator(GeneratorKind.BS_FIXATION, 6)
     assert gen.transpose().transpose().rows == gen.rows
-    ident = TriangularMatrix(
-        6,
-        "upper",
-        tuple(
-            tuple(Fraction(1) if i == j else Fraction(0) for j in range(6))
-            for i in range(6)
-        ),
-    )
-    assert gen.matmul(ident).rows == gen.rows
-    assert ident.is_identity()
+    assert gen.transpose().orientation == "lower"
+
+
+def test_entries_outside_triangle_rejected():
+    rows = [[Fraction(0)] * 4 for _ in range(4)]
+    rows[2][1] = Fraction(1, 3)
+    with pytest.raises(ValueError):
+        TriangularMatrix(4, "upper", tuple(map(tuple, rows)))
+    assert TriangularMatrix(4, "lower", tuple(map(tuple, rows))).entry(3, 2) == Fraction(1, 3)
+
+
+def _perturbed(m: TriangularMatrix, i: int, j: int, eps: Fraction) -> TriangularMatrix:
+    rows = [list(r) for r in m.rows]
+    rows[i][j] += eps
+    return TriangularMatrix(m.n, m.orientation, tuple(map(tuple, rows)))
+
+
+@pytest.mark.parametrize("kind", [GeneratorKind.BS_FIXATION, GeneratorKind.BS_BLOCK])
+@pytest.mark.parametrize("factor", ["R", "L", "D"])
+def test_negative_control_tiny_perturbation_fails(kind, factor):
+    # 10^-30 is far below double precision relative to these entries, so
+    # only exact arithmetic can see it.
+    n = 12
+    dec = closed_form_decomposition(kind, n)
+    eps = Fraction(1, 10**30)
+    i, j = (3, 7) if kind.orientation == "upper" else (7, 3)  # inside the triangle
+    if factor == "R":
+        dec = replace(dec, R=_perturbed(dec.R, i, j, eps))
+    elif factor == "L":
+        dec = replace(dec, L=_perturbed(dec.L, i, j, eps))
+    else:
+        dec = replace(dec, D=dec.D[:5] + (dec.D[5] + eps,) + dec.D[6:])
+    report = verify_decomposition(dec)
+    if factor == "D":
+        assert report.rl_is_identity
+        assert not report.rdl_is_generator
+    else:
+        assert not report.rl_is_identity
+    assert not report.ok
