@@ -169,8 +169,17 @@ def reciprocal_factorial_moment(tp: TimePoint, k: int) -> float:
     return tp.alpha / (factorial(k) * (tp.alpha + k))
 
 
-def _survival_sum(n: int, i: int, alpha: float) -> float:
-    # sum_{j=1..i} (-1)^{j-1} C(i,j) Gamma(n - j a) / (Gamma(n) Gamma(1 - j a))
+def _block_tail(n: int, i: int, alpha: float) -> float:
+    """P(block count from n is <= i) when exp(-t) = alpha.
+
+    The survival sum sum_{j=1..i} (-1)^{j-1} C(i,j) Gamma(n - j a) /
+    (Gamma(n) Gamma(1 - j a)); by duality also P(fixation line from i has
+    reached n).
+    """
+    if not (1 <= i <= n):
+        raise ValueError(f"need 1 <= i <= n, got i={i}, n={n}")
+    if i == n:
+        return 1.0
     lg_n = math.lgamma(n)
     terms = []
     for j in range(1, i + 1):
@@ -178,9 +187,11 @@ def _survival_sum(n: int, i: int, alpha: float) -> float:
         if s_den == 0:
             continue  # 1/Gamma vanishes at nonpositive integers
         mag = math.exp(math.lgamma(n - j * alpha) - lg_n - l_den)
-        sign = (-1) ** (j - 1) * s_den
-        terms.append(sign * math.comb(i, j) * mag)
-    return math.fsum(terms)
+        terms.append((-1) ** (j - 1) * s_den * math.comb(i, j) * mag)
+    val = math.fsum(terms)
+    if val < -1e-9 or val > 1.0 + 1e-9:
+        raise NumericInstabilityError(f"block tail {val} outside [0, 1]")
+    return min(max(val, 0.0), 1.0)
 
 
 def block_tail_via_duality(n: int, i: int, tp: TimePoint) -> float:
@@ -189,14 +200,7 @@ def block_tail_via_duality(n: int, i: int, tp: TimePoint) -> float:
     By duality this equals the probability that the fixation line from i
     has reached n, i.e. the upper tail of its transition row.
     """
-    if not (1 <= i <= n):
-        raise ValueError(f"need 1 <= i <= n, got i={i}, n={n}")
-    if i == n:
-        return 1.0
-    val = _survival_sum(n, i, tp.alpha)
-    if val < -1e-9 or val > 1.0 + 1e-9:
-        raise NumericInstabilityError(f"duality tail {val} outside [0, 1]")
-    return min(max(val, 0.0), 1.0)
+    return _block_tail(n, i, tp.alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +228,9 @@ class _RenewalMasses:
         self._values = [Fraction(1)]
 
     def upto(self, d: int) -> list[Fraction]:
-        """[f(0), ..., f(d)] as exact rationals."""
+        """[f(0), ..., f(d)] as exact rationals, for d <= _RENEWAL_MAX_D."""
+        if d > _RENEWAL_MAX_D:
+            raise ValueError(f"renewal route needs j - i <= {_RENEWAL_MAX_D}, got {d}")
         with self._lock:
             if len(self._values) <= d:
                 self._grow(d)
@@ -247,6 +253,9 @@ class _RenewalMasses:
         self._nums, self._lcm, self._den = nums, lcm, den
 
 
+# The table costs O(d^2) products of ~d log2 d-bit integers (a cold d = 1000
+# takes seconds, d = 1500 over a minute); larger gaps have the integral route.
+_RENEWAL_MAX_D = 1000
 _RENEWAL = _RenewalMasses()
 
 
@@ -272,7 +281,9 @@ def hitting_probability(i: int, j: int, method: HittingMethod = HittingMethod.CO
 
     Depends on (i, j) only through j - i.  The convolution and both
     Stirling methods return exact ``Fraction``s; the integral and
-    generating-function methods return floats.
+    generating-function methods return floats.  The convolution and
+    generating-function methods raise ValueError for j - i > 1000 and the
+    Stirling methods past the Stirling table bound; the integral has none.
     """
     if i < 1 or j < 1:
         raise ValueError(f"states must be positive, got ({i}, {j})")
@@ -314,7 +325,7 @@ def hitting_gf_coefficients(i: int, J: int) -> list[float]:
 
     Since 1 / (1 - sum_{m>=1} z^m / (m (m+1))) = z / ((1-z)(-log(1-z))),
     the coefficients are the renewal masses f(0), ..., f(J - i) of the
-    convolution route, rounded to floats.
+    convolution route, rounded to floats; ValueError for J - i > 1000.
     """
     if J < i:
         raise ValueError(f"need J >= i, got i={i}, J={J}")
@@ -335,16 +346,9 @@ def hitting_asymptotic(j: int) -> float:
 
 def absorption_cdf(n: int, i: int, t: float) -> float:
     """P(block counting process from n reaches a state <= i by time t)."""
-    if not (1 <= i <= n):
-        raise ValueError(f"need 1 <= i <= n, got i={i}, n={n}")
     if t <= 0:
         raise ValueError(f"time must be positive, got {t}")
-    if i == n:
-        return 1.0
-    val = _survival_sum(n, i, math.exp(-t))
-    if val < -1e-9 or val > 1.0 + 1e-9:
-        raise NumericInstabilityError(f"absorption CDF {val} outside [0, 1]")
-    return min(max(val, 0.0), 1.0)
+    return _block_tail(n, i, math.exp(-t))
 
 
 def gumbel_limit_cdf(i: int, x: float) -> float:

@@ -7,9 +7,8 @@ as "num/den" strings, reals as shortest round-trip decimals.  Exit codes:
 0 success, 2 usage error, 1 numeric instability.
 
 Every run is fully determined by its flags; simulation subcommands are
-byte-identical when repeated with the same --seed.  --threads is accepted
-and validated but execution is serial: replicate substreams are derived
-from (seed, index) alone, so the output never depends on it.
+byte-identical when repeated with the same --seed: replicate substreams
+are derived from (seed, index) alone.
 """
 
 from __future__ import annotations
@@ -269,12 +268,6 @@ def _cmd_converge(args) -> int:
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=("csv", "json"), default="csv", help="output format")
-    p.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        help="replicate fan-out hint; execution is serial and output never depends on it",
-    )
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -401,8 +394,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def run(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.threads < 1:
-        parser.error(f"--threads must be positive, got {args.threads}")
     try:
         return args.handler(args)
     except NumericInstabilityError as exc:

@@ -79,20 +79,20 @@ def _grow_second(n: int) -> None:
         _second_rows.append(row)
 
 
-def _check_range(n: int, k: int, n_max: int) -> None:
+def _check_range(n: int, k: int) -> None:
     if n < 0 or k < 0:
         raise ValueError(f"Stirling indices must be nonnegative, got ({n}, {k})")
-    if n > n_max:
-        raise ValueError(f"Stirling index n={n} exceeds table bound n_max={n_max}")
+    if n > DEFAULT_NMAX:
+        raise ValueError(f"Stirling index n={n} exceeds table bound COALAB_NMAX={DEFAULT_NMAX}")
 
 
-def stirling_first(n: int, k: int, *, n_max: int = DEFAULT_NMAX) -> int:
+def stirling_first(n: int, k: int) -> int:
     """Signed Stirling number of the first kind s(n, k).
 
     Zero when k > n or (k == 0 and n > 0).  Raises ValueError when n is
-    negative or exceeds ``n_max``.
+    negative or exceeds ``DEFAULT_NMAX``.
     """
-    _check_range(n, k, n_max)
+    _check_range(n, k)
     if k > n:
         return 0
     with _table_lock:
@@ -100,9 +100,9 @@ def stirling_first(n: int, k: int, *, n_max: int = DEFAULT_NMAX) -> int:
         return _first_rows[n][k]
 
 
-def stirling_second(n: int, k: int, *, n_max: int = DEFAULT_NMAX) -> int:
+def stirling_second(n: int, k: int) -> int:
     """Stirling number of the second kind S(n, k) (set partitions)."""
-    _check_range(n, k, n_max)
+    _check_range(n, k)
     if k > n:
         return 0
     with _table_lock:

@@ -3,7 +3,9 @@
 Single trajectories are produced jump by jump (competing exponentials, no
 time discretization).  Batch estimators are vectorized across replicates
 with numpy but draw from the same exact jump laws, so every sample has the
-exact finite-n distribution.
+exact finite-n distribution.  One vectorized block engine serves both block
+estimators: the marginal at t stops each chain at the horizon t, the
+absorption time to i stops it on reaching a state <= i.
 
 Randomness contract: every function takes an explicit
 ``numpy.random.Generator``; replicate-indexed work uses PCG64 streams
@@ -153,50 +155,41 @@ def estimate_hitting(i: int, j: int, reps: int, rng: np.random.Generator) -> Est
     return EstimateWithError(p, se, reps)
 
 
+def _block_chains(n: int, reps: int, rng: np.random.Generator, horizon: float, floor: int):
+    """(states, clocks) of reps block counting chains from n, vectorized.
+
+    A chain retires once its state is <= floor, or when its next jump
+    would land after horizon; clocks holds the time of its last jump.
+    Each round draws one exponential per active chain and one uniform per
+    landing chain, in index order.
+    """
+    states = np.full(reps, n, dtype=np.int64)
+    clocks = np.zeros(reps)
+    active = np.flatnonzero(states > floor)
+    while active.size:
+        s = states[active].astype(np.float64)
+        nt = clocks[active] + rng.exponential(size=active.size) / (s - 1.0)
+        land = nt <= horizon
+        active = active[land]
+        clocks[active] = nt[land]
+        d = _block_decrement(s[land], 1.0 - rng.random(active.size))
+        states[active] -= d.astype(np.int64)
+        active = active[states[active] > floor]
+    return states, clocks
+
+
 def sample_block_marginal(n: int, t: float, reps: int, rng: np.random.Generator) -> np.ndarray:
     """reps draws of the block count at time t, started from n (vectorized)."""
     if n < 1 or t < 0:
         raise ValueError("need n >= 1 and t >= 0")
-    states = np.full(reps, n, dtype=np.int64)
-    clock = np.zeros(reps)
-    active = states > 1
-    while active.any():
-        idx = np.flatnonzero(active)
-        i = states[idx].astype(np.float64)
-        dt = rng.exponential(size=idx.size) / (i - 1.0)
-        nt = clock[idx] + dt
-        land = nt <= t
-        clock[idx] = np.where(land, nt, clock[idx])
-        if land.any():
-            li = idx[land]
-            v = 1.0 - rng.random(li.size)
-            d = _block_decrement(states[li].astype(np.float64), v)
-            states[li] -= d.astype(np.int64)
-        active[idx[~land]] = False
-        active[states == 1] = False
-    return states
+    return _block_chains(n, reps, rng, t, 1)[0]
 
 
 def sample_absorption_times(n: int, i: int, reps: int, rng: np.random.Generator) -> np.ndarray:
     """reps draws of the first time the block count from n drops to <= i."""
     if not (1 <= i <= n):
         raise ValueError(f"need 1 <= i <= n, got i={i}, n={n}")
-    states = np.full(reps, n, dtype=np.int64)
-    clock = np.zeros(reps)
-    out = np.zeros(reps)
-    done = states <= i
-    out[done] = 0.0
-    while not done.all():
-        idx = np.flatnonzero(~done)
-        s = states[idx].astype(np.float64)
-        clock[idx] += rng.exponential(size=idx.size) / (s - 1.0)
-        v = 1.0 - rng.random(idx.size)
-        d = _block_decrement(s, v)
-        states[idx] -= d.astype(np.int64)
-        newly = states[idx] <= i
-        out[idx[newly]] = clock[idx[newly]]
-        done[idx[newly]] = True
-    return out
+    return _block_chains(n, reps, rng, math.inf, i)[1]
 
 
 # -- fixation marginal at fixed t, via the branching property ---------------

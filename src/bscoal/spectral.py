@@ -257,7 +257,7 @@ def _recursive_upper(gen: TriangularMatrix, d: Sequence[Fraction]):
 def recursive_decomposition(
     generator: TriangularMatrix,
     eigvals: Sequence[Fraction],
-    kind: GeneratorKind | None = None,
+    kind: GeneratorKind,
 ) -> SpectralDecomposition:
     """R and L from the triangular eigenvector recursions, in exact rationals.
 
@@ -287,10 +287,6 @@ def recursive_decomposition(
         orient = "lower"
     R = TriangularMatrix(n, orient, tuple(tuple(r) for r in R_rows))
     L = TriangularMatrix(n, orient, tuple(tuple(r) for r in L_rows))
-    if kind is None:
-        kind = (
-            GeneratorKind.BS_BLOCK if generator.orientation == "lower" else GeneratorKind.BS_FIXATION
-        )
     return SpectralDecomposition(kind, n, R, d, L)
 
 

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from bscoal import analytics
 from bscoal.analytics import (
     HittingMethod,
+    NumericInstabilityError,
     TimePoint,
     absorption_cdf,
     block_tail_via_duality,
@@ -164,6 +165,14 @@ class TestHitting:
         assert hitting_probability(3, 3) == 1
         assert hitting_probability(5, 2) == 0
 
+    def test_renewal_route_domain(self):
+        # the convolution and gf routes stop at j - i = 1000; the integral does not
+        with pytest.raises(ValueError):
+            hitting_probability(1, 1002)
+        with pytest.raises(ValueError):
+            hitting_gf_coefficients(1, 1002)
+        assert 0 < hitting_probability(1, 1002, HittingMethod.INTEGRAL) < 1
+
     def test_gf_coefficient_vector_consistent(self):
         coeffs = hitting_gf_coefficients(1, 10)
         for j, c in enumerate(coeffs, start=1):
@@ -235,11 +244,22 @@ class TestAbsorption:
 
     def test_duality_tail_equals_absorption(self):
         # reaching a state <= i by time t is the same event as sitting at <= i
-        # at time t, because the block count is nonincreasing
-        tp = TimePoint.from_time(1.0)
-        assert block_tail_via_duality(30, 3, tp) == pytest.approx(
-            absorption_cdf(30, 3, 1.0), abs=1e-15
-        )
+        # at time t, because the block count is nonincreasing; both names
+        # evaluate one survival sum, so they agree exactly, raises included
+        # (i = 29 at t = 3 cancels past the [0, 1] guard)
+        def outcome(fn, *args):
+            try:
+                return fn(*args)
+            except NumericInstabilityError as exc:
+                return str(exc)
+
+        for n in (30, 10**4):
+            for i in (1, 3, 29):
+                for t in (0.1, 1.0, 3.0):
+                    tp = TimePoint.from_time(t)
+                    assert outcome(block_tail_via_duality, n, i, tp) == outcome(
+                        absorption_cdf, n, i, t
+                    )
 
     def test_matches_mpmath_at_gumbel_grid(self):
         # the survival sum at 50 digits, at the acceptance suite's Gumbel-limit

@@ -148,6 +148,9 @@ class TestExitCodes:
         code = run(["absorption", "--n", "5", "--i", "9", "--t", "1.0"])
         assert code == 2
 
+    def test_hitting_past_renewal_domain_exit_two(self, capsys):
+        assert run(["hitting", "--i", "1", "--j", "1002"]) == 2
+
     def test_converge_tol_failure_exit_one(self, capsys):
         code = run(["converge", "--method", "block", "--n", "50", "--t", "1.0",
                     "--reps", "100", "--seed", "1", "--trunc", "2000", "--tol", "0.0001"])

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bscoal.combinatorics import (
+    DEFAULT_NMAX,
     general_binomial,
     signed_log_gamma,
     stirling_first,
@@ -50,7 +51,7 @@ def test_range_errors():
     with pytest.raises(ValueError):
         stirling_second(3, -2)
     with pytest.raises(ValueError):
-        stirling_first(10, 2, n_max=5)
+        stirling_first(DEFAULT_NMAX + 1, 2)
 
 
 def test_inversion_identity():

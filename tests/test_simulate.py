@@ -127,6 +127,13 @@ class TestEstimators:
         se = math.sqrt(p * (1 - p) / s.size)
         assert abs((s <= 3).mean() - p) < 3 * se
 
+    def test_block_samplers_at_their_stopping_state(self):
+        # started at the floor, no chain moves: absorption to n takes no
+        # time, and one block stays one block
+        assert np.array_equal(sample_absorption_times(7, 7, 50, replicate_rng(21)), np.zeros(50))
+        ones = sample_block_marginal(1, 2.0, 50, replicate_rng(22))
+        assert ones.dtype == np.int64 and np.array_equal(ones, np.ones(50))
+
     def test_absorption_times_match_cdf(self):
         taus = sample_absorption_times(50, 1, 10**5, replicate_rng(19))
         for t in (0.5, 1.0, 2.0):

@@ -91,14 +91,16 @@ def test_degenerate_spectrum_rejected():
     )
     gen = TriangularMatrix(n, "upper", rows)  # constant diagonal
     with pytest.raises(DegenerateSpectrumError):
-        recursive_decomposition(gen, tuple(Fraction(1) for _ in range(n)))
+        recursive_decomposition(
+            gen, tuple(Fraction(1) for _ in range(n)), GeneratorKind.BS_FIXATION
+        )
 
 
 def test_eigenvalue_mismatch_rejected():
     gen = build_generator(GeneratorKind.BS_FIXATION, 5)
     wrong = tuple(Fraction(-i - 7) for i in range(5))
     with pytest.raises(ValueError):
-        recursive_decomposition(gen, wrong)
+        recursive_decomposition(gen, wrong, GeneratorKind.BS_FIXATION)
 
 
 def test_json_round_trip():
