@@ -89,7 +89,6 @@ class HittingMethod(enum.Enum):
     STIRLING_DOUBLE = "stirling-double"
     STIRLING_SHIFT = "stirling-shift"
     INTEGRAL = "integral"
-    GF_SERIES = "gf-series"
 
 
 # ---------------------------------------------------------------------------
@@ -280,9 +279,8 @@ def hitting_probability(i: int, j: int, method: HittingMethod = HittingMethod.CO
     """Probability the fixation line started at i ever occupies state j.
 
     Depends on (i, j) only through j - i.  The convolution and both
-    Stirling methods return exact ``Fraction``s; the integral and
-    generating-function methods return floats.  The convolution and
-    generating-function methods raise ValueError for j - i > 1000 and the
+    Stirling methods return exact ``Fraction``s; the integral returns a
+    float.  The convolution raises ValueError for j - i > 1000 and the
     Stirling methods past the Stirling table bound; the integral has none.
     """
     if i < 1 or j < 1:
@@ -315,8 +313,6 @@ def hitting_probability(i: int, j: int, method: HittingMethod = HittingMethod.CO
         return sign * acc / factorial(d)
     if method is HittingMethod.INTEGRAL:
         return _hitting_integral(d)
-    if method is HittingMethod.GF_SERIES:
-        return hitting_gf_coefficients(i, j)[-1]
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -431,37 +427,18 @@ def edgeworth_c(K: int) -> EdgeworthCoeffs:
     return EdgeworthCoeffs(order=K, values=tuple(c))
 
 
-def edgeworth_d(k: int, i: int, x: float, form: str = "direct") -> float:
+def edgeworth_d(k: int, i: int, x: float) -> float:
     """Coefficient functions d_{k i}(x) = (e^x d/dx)^k applied to the Gumbel-min CDF.
 
-    ``form="direct"`` evaluates the finite alternating sum in powers of
-    F(x); ``form="stirling"`` uses the equivalent Stirling-number /
-    falling-factorial representation (k >= 1).
+    Evaluated as the finite alternating sum in powers of F(x).
     """
     if k < 0 or i < 1:
         raise ValueError(f"need k >= 0 and i >= 1, got k={k}, i={i}")
     F = math.exp(-math.exp(-x))
-    if form == "direct":
-        return math.fsum(
-            (F**j) * ((-1) ** (j - 1)) * math.comb(i, j) * (j**k)
-            for j in range(1, i + 1)
-        )
-    if form == "stirling":
-        if k == 0:
-            return 1.0 - (1.0 - F) ** i
-        acc = 0.0
-        falling = 1
-        for j in range(1, k + 1):
-            falling *= i - j + 1
-            acc += (
-                stirling_second(k, j)
-                * ((-1) ** (j - 1))
-                * falling
-                * (F**j)
-                * ((1.0 - F) ** (i - j))
-            )
-        return acc
-    raise ValueError(f"unknown form {form!r}")
+    return math.fsum(
+        (F**j) * ((-1) ** (j - 1)) * math.comb(i, j) * (j**k)
+        for j in range(1, i + 1)
+    )
 
 
 def edgeworth_cdf(n: int, i: int, x: float, K: int) -> float:

@@ -57,26 +57,12 @@ _first_rows: list[list[int]] = [[1]]
 _second_rows: list[list[int]] = [[1]]
 
 
-def _grow_first(n: int) -> None:
-    # s(n+1, k) = s(n, k-1) - n * s(n, k)
-    while len(_first_rows) <= n:
-        m = len(_first_rows) - 1
-        prev = _first_rows[m]
-        row = [0] * (m + 2)
-        for k in range(1, m + 2):
-            row[k] = prev[k - 1] - m * (prev[k] if k <= m else 0)
-        _first_rows.append(row)
-
-
-def _grow_second(n: int) -> None:
-    # S(n+1, k) = k * S(n, k) + S(n, k-1)
-    while len(_second_rows) <= n:
-        m = len(_second_rows) - 1
-        prev = _second_rows[m]
-        row = [0] * (m + 2)
-        for k in range(1, m + 2):
-            row[k] = k * (prev[k] if k <= m else 0) + prev[k - 1]
-        _second_rows.append(row)
+def _grow(rows: list[list[int]], n: int, weight) -> None:
+    # T(m+1, k) = T(m, k-1) + weight(m, k) * T(m, k), with T(m, m+1) = 0
+    while len(rows) <= n:
+        m = len(rows) - 1
+        prev = rows[m] + [0]
+        rows.append([0] + [prev[k - 1] + weight(m, k) * prev[k] for k in range(1, m + 2)])
 
 
 def _check_range(n: int, k: int) -> None:
@@ -96,7 +82,7 @@ def stirling_first(n: int, k: int) -> int:
     if k > n:
         return 0
     with _table_lock:
-        _grow_first(n)
+        _grow(_first_rows, n, lambda m, k: -m)
         return _first_rows[n][k]
 
 
@@ -106,7 +92,7 @@ def stirling_second(n: int, k: int) -> int:
     if k > n:
         return 0
     with _table_lock:
-        _grow_second(n)
+        _grow(_second_rows, n, lambda m, k: k)
         return _second_rows[n][k]
 
 

@@ -93,9 +93,11 @@ def _fixation_increment(rng: np.random.Generator, size=None):
 
 def simulate_block(n: int, horizon: float, rng: np.random.Generator) -> PathSample:
     """One block counting trajectory from n, run until absorption at 1 or
-    until the next jump would land beyond the horizon."""
+    until the next jump would land beyond the horizon (inf runs to absorption)."""
     if n < 1:
         raise ValueError(f"initial state must be positive, got {n}")
+    if not horizon >= 0:
+        raise ValueError(f"horizon must be >= 0, got {horizon}")
     times: list[float] = []
     states = [n]
     t = 0.0
@@ -139,6 +141,8 @@ def estimate_hitting(i: int, j: int, reps: int, rng: np.random.Generator) -> Est
     overshooting it."""
     if not (1 <= i <= j):
         raise ValueError(f"need 1 <= i <= j, got ({i}, {j})")
+    if reps < 1:
+        raise ValueError(f"need reps >= 1, got {reps}")
     if i == j:
         return EstimateWithError(1.0, 0.0, reps)
     states = np.full(reps, i, dtype=np.int64)
@@ -180,8 +184,8 @@ def _block_chains(n: int, reps: int, rng: np.random.Generator, horizon: float, f
 
 def sample_block_marginal(n: int, t: float, reps: int, rng: np.random.Generator) -> np.ndarray:
     """reps draws of the block count at time t, started from n (vectorized)."""
-    if n < 1 or t < 0:
-        raise ValueError("need n >= 1 and t >= 0")
+    if n < 1 or not t >= 0:
+        raise ValueError(f"need n >= 1 and t >= 0, got n={n}, t={t}")
     return _block_chains(n, reps, rng, t, 1)[0]
 
 
@@ -263,8 +267,8 @@ def sample_fixation_marginal(
     Uses the branching property: the marginal is the sum of n independent
     copies of the state-1 marginal, each drawn by exact inversion.
     """
-    if n < 1 or t < 0:
-        raise ValueError("need n >= 1 and t >= 0")
+    if n < 1 or not 0 <= t < math.inf:
+        raise ValueError(f"need n >= 1 and 0 <= t < inf, got n={n}, t={t}")
     diag = diagnostics if diagnostics is not None else {}
     alpha = math.exp(-t)
     out = np.empty(reps, dtype=np.int64)
@@ -282,7 +286,6 @@ def scaled_marginal_sample(
     t: float,
     reps: int,
     rng: np.random.Generator,
-    diagnostics: dict | None = None,
 ) -> np.ndarray:
     """reps draws of the scaled marginal N_t/n^{e^{-t}} or L_t/n^{e^t}."""
     if process not in ("block", "fixation"):
@@ -292,7 +295,7 @@ def scaled_marginal_sample(
     if process == "block":
         states = sample_block_marginal(n, t, reps, rng)
         return states / n ** math.exp(-t)
-    states = sample_fixation_marginal(n, t, reps, rng, diagnostics)
+    states = sample_fixation_marginal(n, t, reps, rng)
     return states / n ** math.exp(t)
 
 

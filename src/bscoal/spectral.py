@@ -7,6 +7,8 @@ identities R L = I and R diag(D) L = generator hold exactly at any
 truncation size.  They are checked in integer-scaled exact arithmetic:
 each row of R, each column of L and the vector D are multiplied by the
 lcm of their denominators, and the products run over the triangle only.
+R and L come from closed forms or from one eigenvector recursion that
+serves both orientations (L from the recursion on the transpose).
 
 Covered generators:
 
@@ -82,9 +84,6 @@ class TriangularMatrix:
             raise ValueError(f"index ({i}, {j}) outside 1..{self.n}")
         return self.rows[i - 1][j - 1]
 
-    def __getitem__(self, ij: tuple[int, int]) -> Fraction:
-        return self.entry(*ij)
-
     def transpose(self) -> "TriangularMatrix":
         flipped = "upper" if self.orientation == "lower" else "lower"
         return TriangularMatrix(
@@ -157,6 +156,20 @@ def generator_entry(kind: GeneratorKind, i: int, j: int) -> Fraction:
     return Fraction(0)
 
 
+def _triangular(n: int, orientation: str, entry) -> TriangularMatrix:
+    """n x n matrix holding entry(i, j) on the triangle (1-based) and 0 off it."""
+    upper = orientation == "upper"
+    zero = Fraction(0)
+    rows = tuple(
+        tuple(
+            entry(i, j) if (j >= i if upper else j <= i) else zero
+            for j in range(1, n + 1)
+        )
+        for i in range(1, n + 1)
+    )
+    return TriangularMatrix(n, orientation, rows)
+
+
 def build_generator(kind: GeneratorKind, n: int) -> TriangularMatrix:
     """n x n truncation; diagonals keep their untruncated values.
 
@@ -165,11 +178,7 @@ def build_generator(kind: GeneratorKind, n: int) -> TriangularMatrix:
     """
     if n < 1:
         raise ValueError(f"truncation size must be positive, got {n}")
-    rows = tuple(
-        tuple(generator_entry(kind, i, j) for j in range(1, n + 1))
-        for i in range(1, n + 1)
-    )
-    return TriangularMatrix(n, kind.orientation, rows)
+    return _triangular(n, kind.orientation, lambda i, j: generator_entry(kind, i, j))
 
 
 def eigenvalues(kind: GeneratorKind, n: int) -> tuple[Fraction, ...]:
@@ -177,30 +186,33 @@ def eigenvalues(kind: GeneratorKind, n: int) -> tuple[Fraction, ...]:
     return tuple(generator_entry(kind, i, i) for i in range(1, n + 1))
 
 
-def _closed_form_entry(kind: GeneratorKind, i: int, j: int, which: str) -> Fraction:
-    sign = -1 if (i + j) % 2 else 1
-    if kind is GeneratorKind.BS_FIXATION:
-        if j < i:
-            return Fraction(0)
-        if which == "R":
-            return Fraction(sign * factorial(i) * stirling_second(j, i), factorial(j))
-        return Fraction(sign * factorial(i) * stirling_first(j, i), factorial(j))
-    if kind is GeneratorKind.BS_BLOCK:
-        if j > i:
-            return Fraction(0)
-        if which == "R":
-            return Fraction(factorial(j - 1) * abs(stirling_first(i, j)), factorial(i - 1))
-        return Fraction(sign * factorial(j - 1) * stirling_second(i, j), factorial(i - 1))
-    # Kingman fixation line
-    if j < i:
-        return Fraction(0)
-    if which == "R":
-        num = factorial(j) * factorial(j - 1) * factorial(i + j)
-        den = factorial(j - i) * factorial(i) * factorial(i - 1) * factorial(2 * j)
-        return Fraction(((-1) ** (j - i)) * num, den)
-    num = factorial(j) * factorial(j - 1) * factorial(2 * i + 1)
-    den = factorial(i) * factorial(i - 1) * factorial(j - i) * factorial(i + j + 1)
-    return Fraction(num, den)
+def _sign(i: int, j: int) -> int:
+    return -1 if (i + j) % 2 else 1
+
+
+# (R entry, L entry) on the triangle of each kind; both are unit diagonal.
+_CLOSED_FORMS = {
+    GeneratorKind.BS_FIXATION: (
+        lambda i, j: Fraction(_sign(i, j) * factorial(i) * stirling_second(j, i), factorial(j)),
+        lambda i, j: Fraction(_sign(i, j) * factorial(i) * stirling_first(j, i), factorial(j)),
+    ),
+    GeneratorKind.BS_BLOCK: (
+        lambda i, j: Fraction(factorial(j - 1) * abs(stirling_first(i, j)), factorial(i - 1)),
+        lambda i, j: Fraction(
+            _sign(i, j) * factorial(j - 1) * stirling_second(i, j), factorial(i - 1)
+        ),
+    ),
+    GeneratorKind.KINGMAN_FIXATION: (
+        lambda i, j: Fraction(
+            _sign(i, j) * factorial(j) * factorial(j - 1) * factorial(i + j),
+            factorial(j - i) * factorial(i) * factorial(i - 1) * factorial(2 * j),
+        ),
+        lambda i, j: Fraction(
+            factorial(j) * factorial(j - 1) * factorial(2 * i + 1),
+            factorial(i) * factorial(i - 1) * factorial(j - i) * factorial(i + j + 1),
+        ),
+    ),
+}
 
 
 def closed_form_decomposition(kind: GeneratorKind, n: int) -> SpectralDecomposition:
@@ -212,46 +224,30 @@ def closed_form_decomposition(kind: GeneratorKind, n: int) -> SpectralDecomposit
     """
     if n < 1:
         raise ValueError(f"truncation size must be positive, got {n}")
-    orient = kind.orientation
-    R = TriangularMatrix(
-        n,
-        orient,
-        tuple(
-            tuple(_closed_form_entry(kind, i, j, "R") for j in range(1, n + 1))
-            for i in range(1, n + 1)
-        ),
-    )
-    L = TriangularMatrix(
-        n,
-        orient,
-        tuple(
-            tuple(_closed_form_entry(kind, i, j, "L") for j in range(1, n + 1))
-            for i in range(1, n + 1)
-        ),
-    )
+    r_entry, l_entry = _CLOSED_FORMS[kind]
+    R = _triangular(n, kind.orientation, r_entry)
+    L = _triangular(n, kind.orientation, l_entry)
     return SpectralDecomposition(kind, n, R, eigenvalues(kind, n), L)
 
 
-def _recursive_upper(gen: TriangularMatrix, d: Sequence[Fraction]):
-    n = gen.n
-    g = gen.rows
+def _right_eigenvectors(q: TriangularMatrix, d: Sequence[Fraction]) -> TriangularMatrix:
+    """Unit-diagonal right eigenvectors of q, column j for eigenvalue d[j].
+
+    r_jj = 1 and r_ij = sum_k q_ik r_kj / (d_j - d_i), with k running from
+    j towards i (i excluded) and i stepping away from j: up the column
+    for an upper triangular q, down it for a lower triangular one.  Zero
+    rates are skipped, so a bidiagonal q costs O(n^2) terms.
+    """
+    n, g = q.n, q.rows
+    step = -1 if q.orientation == "upper" else 1
+    stop = -1 if step < 0 else n
     R = [[Fraction(0)] * n for _ in range(n)]
-    L = [[Fraction(0)] * n for _ in range(n)]
-    # Right eigenvectors, column by column, bottom up:
-    # r_ij = sum_{k=i+1..j} g_ik r_kj / (d_j - d_i), r_jj = 1.
     for j in range(n):
         R[j][j] = Fraction(1)
-        for i in range(j - 1, -1, -1):
-            acc = sum((g[i][k] * R[k][j] for k in range(i + 1, j + 1)), Fraction(0))
+        for i in range(j + step, stop, step):
+            acc = sum((g[i][k] * R[k][j] for k in range(j, i, step) if g[i][k]), Fraction(0))
             R[i][j] = acc / (d[j] - d[i])
-    # Left eigenvectors, row by row, left to right:
-    # l_ij = sum_{k=i..j-1} l_ik g_kj / (d_i - d_j), l_ii = 1.
-    for i in range(n):
-        L[i][i] = Fraction(1)
-        for j in range(i + 1, n):
-            acc = sum((L[i][k] * g[k][j] for k in range(i, j)), Fraction(0))
-            L[i][j] = acc / (d[i] - d[j])
-    return R, L
+    return TriangularMatrix(n, q.orientation, tuple(map(tuple, R)))
 
 
 def recursive_decomposition(
@@ -259,13 +255,15 @@ def recursive_decomposition(
     eigvals: Sequence[Fraction],
     kind: GeneratorKind,
 ) -> SpectralDecomposition:
-    """R and L from the triangular eigenvector recursions, in exact rationals.
+    """R and L from the triangular eigenvector recursion, in exact rationals.
 
     Requires the eigenvalues (= generator diagonal) to be pairwise
-    distinct; raises DegenerateSpectrumError otherwise.  For a lower
-    triangular generator the recursion is run on the transpose and the
-    factors are transposed back, which preserves the unit-diagonal
-    normalization of both R and L.
+    distinct; raises DegenerateSpectrumError otherwise.  One recursion
+    serves both orientations: R holds the right eigenvectors of the
+    generator Q, and L is the transpose of the right eigenvectors of Q^T
+    (the left eigenvectors of Q).  Left and right eigenvectors of distinct
+    eigenvalues are orthogonal and both factors have unit diagonals, so
+    L R = I.
     """
     n = generator.n
     d = tuple(Fraction(v) for v in eigvals)
@@ -276,17 +274,8 @@ def recursive_decomposition(
     for i in range(1, n + 1):
         if generator.entry(i, i) != d[i - 1]:
             raise ValueError("eigenvalues must equal the generator diagonal")
-    if generator.orientation == "upper":
-        R_rows, L_rows = _recursive_upper(generator, d)
-        orient = "upper"
-    else:
-        Rt, Lt = _recursive_upper(generator.transpose(), d)
-        # Q^T = R' D L'  =>  Q = (L')^T D (R')^T
-        R_rows = [list(col) for col in zip(*Lt)]
-        L_rows = [list(col) for col in zip(*Rt)]
-        orient = "lower"
-    R = TriangularMatrix(n, orient, tuple(tuple(r) for r in R_rows))
-    L = TriangularMatrix(n, orient, tuple(tuple(r) for r in L_rows))
+    R = _right_eigenvectors(generator, d)
+    L = _right_eigenvectors(generator.transpose(), d).transpose()
     return SpectralDecomposition(kind, n, R, d, L)
 
 

@@ -151,6 +151,13 @@ class TestExitCodes:
     def test_hitting_past_renewal_domain_exit_two(self, capsys):
         assert run(["hitting", "--i", "1", "--j", "1002"]) == 2
 
+    def test_simulate_nan_time_exit_two(self, capsys):
+        assert run(["simulate", "--method", "block-marginal", "--n", "10", "--t", "nan"]) == 2
+
+    def test_simulate_hitting_zero_reps_exit_two(self, capsys):
+        argv = ["simulate", "--method", "hitting", "--i", "1", "--j", "3", "--reps", "0"]
+        assert run(argv) == 2
+
     def test_converge_tol_failure_exit_one(self, capsys):
         code = run(["converge", "--method", "block", "--n", "50", "--t", "1.0",
                     "--reps", "100", "--seed", "1", "--trunc", "2000", "--tol", "0.0001"])

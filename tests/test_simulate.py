@@ -116,6 +116,12 @@ class TestEstimators:
         est = estimate_hitting(4, 4, 100, replicate_rng(16))
         assert est.value == 1.0 and est.std_error == 0.0
 
+    def test_hitting_needs_replicates(self):
+        # zero replicates estimate nothing, also when i == j
+        for i, j in ((1, 3), (2, 2)):
+            with pytest.raises(ValueError):
+                estimate_hitting(i, j, 0, replicate_rng(16))
+
     def test_hitting_one_to_three(self):
         est = estimate_hitting(1, 3, 10**5, replicate_rng(17))
         assert abs(est.value - 5 / 12) < 3 * est.std_error
@@ -166,6 +172,19 @@ class TestEstimators:
             scaled_marginal_sample("bogus", 10, 1.0, 10, replicate_rng(0))
         with pytest.raises(ValueError):
             scaled_marginal_sample("block", 1, 1.0, 10, replicate_rng(0))
+        # NaN passes a `t < 0` test; the block samplers take t = inf
+        # (absorption), the fixation line has no marginal there
+        for t in (math.nan, -1.0):
+            with pytest.raises(ValueError):
+                sample_block_marginal(10, t, 3, replicate_rng(0))
+            with pytest.raises(ValueError):
+                simulate_block(10, t, replicate_rng(0))
+        for t in (math.nan, math.inf, -1.0):
+            with pytest.raises(ValueError):
+                sample_fixation_marginal(3, t, 3, replicate_rng(0))
+            with pytest.raises(ValueError):
+                scaled_marginal_sample("fixation", 3, t, 3, replicate_rng(0))
+        assert simulate_block(10, math.inf, replicate_rng(0)).states[-1] == 1
 
 
 class TestKsDistance:

@@ -42,24 +42,29 @@ def test_generator_row_sums():
         assert sum(row) == 0
 
 
+# n = 1 and n = 2 are the edges of the triangle and recursion loop ranges.
+EDGE_SIZES = (1, 2, 15)
+
+
 @pytest.mark.parametrize("kind", KINDS)
 def test_closed_form_verifies_exactly(kind):
-    dec = closed_form_decomposition(kind, 15)
-    report = verify_decomposition(dec)
-    assert report.rl_is_identity
-    assert report.rdl_is_generator
-    assert report.ok
+    for n in EDGE_SIZES:
+        report = verify_decomposition(closed_form_decomposition(kind, n))
+        assert report.rl_is_identity, n
+        assert report.rdl_is_generator, n
+        assert report.ok
 
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_recursion_equals_closed_form(kind):
-    n = 15
-    gen = build_generator(kind, n)
-    dec_r = recursive_decomposition(gen, eigenvalues(kind, n), kind)
-    dec_c = closed_form_decomposition(kind, n)
-    assert dec_r.R.rows == dec_c.R.rows
-    assert dec_r.L.rows == dec_c.L.rows
-    assert dec_r.D == dec_c.D
+    for n in EDGE_SIZES:
+        gen = build_generator(kind, n)
+        dec_r = recursive_decomposition(gen, eigenvalues(kind, n), kind)
+        dec_c = closed_form_decomposition(kind, n)
+        assert dec_r.R.rows == dec_c.R.rows, n
+        assert dec_r.L.rows == dec_c.L.rows, n
+        assert dec_r.D == dec_c.D, n
+        assert dec_r.R.orientation == dec_r.L.orientation == kind.orientation
 
 
 def test_unit_diagonals():
