@@ -118,7 +118,7 @@ def simulate_fixation(n: int, state_cap: int, rng: np.random.Generator) -> PathS
     beyond ``state_cap``."""
     if n < 1:
         raise ValueError(f"initial state must be positive, got {n}")
-    if state_cap <= n:
+    if not state_cap > n:
         raise ValueError(f"state_cap must exceed the initial state, got {state_cap}")
     times: list[float] = []
     states = [n]
@@ -199,63 +199,44 @@ def sample_absorption_times(n: int, i: int, reps: int, rng: np.random.Generator)
 # -- fixation marginal at fixed t, via the branching property ---------------
 #
 # The fixation line from n at time t is the sum of n independent copies of
-# the state-1 marginal (its pgf is the n-th power of the state-1 pgf), and
-# the state-1 marginal has an explicit heavy-tailed law, so the marginal is
-# sampled by exact inversion: a cumulative table covers the bulk and the
-# closed-form survival function Gamma(j - alpha) / (Gamma(1-alpha) Gamma(j))
-# is bisected for the tail.  This sidesteps the path-level cost of growing
-# the chain to order n^{e^t}, which is prohibitive for large n.
+# the state-1 marginal X, whose pgf 1 - (1-z)^alpha (alpha = e^-t) is the
+# Sibuya law, so the marginal is sampled by inverting one uniform u per
+# copy.  A 32-entry cumulative table covers the bulk.  Past it, Wendel's
+# inequality puts Gamma(1-alpha) P(X > x) between (x+1-alpha)^-alpha and
+# x^-alpha, so with v = 1 - u the quantile is ceil(y) - 1 or ceil(y),
+# y = (v Gamma(1-alpha))^(-1/alpha), and one log-survival evaluation picks
+# between them (Hofert, CSDA 55, 2011).  This sidesteps the path-level cost
+# of growing the chain to order n^{e^t}.  A draw is exact up to about 1e10;
+# past that float64 cannot always separate neighbouring survival values and
+# it may be off by one (by a relative 4e-15 past 1e15).  A draw or a sum of
+# n draws past 2^63 - 1 raises OverflowError.
 
-_FIX_TABLE_SIZE = 1 << 20
-_fix_cdf_cache: dict[float, np.ndarray] = {}
-
-
-def _fixation_single_cdf(alpha: float) -> np.ndarray:
-    """cdf[j-1] = P(state-1 marginal <= j) for j = 1.._FIX_TABLE_SIZE.
-
-    Built from the stable ratio recurrence p_{j+1}/p_j = (j - alpha)/(j + 1)
-    with p_1 = alpha, which avoids any special-function evaluation.
-    """
-    cdf = _fix_cdf_cache.get(alpha)
-    if cdf is None:
-        j = np.arange(1, _FIX_TABLE_SIZE, dtype=np.float64)
-        pmf = np.empty(_FIX_TABLE_SIZE)
-        pmf[0] = alpha
-        pmf[1:] = alpha * np.cumprod((j - alpha) / (j + 1.0))
-        cdf = np.cumsum(pmf)
-        _fix_cdf_cache[alpha] = cdf
-    return cdf
-
-
-def _fixation_log_survival(j: float, alpha: float) -> float:
-    # log P(L >= j) = log Gamma(j - alpha) - log Gamma(1 - alpha) - log Gamma(j)
-    return math.lgamma(j - alpha) - math.lgamma(1.0 - alpha) - math.lgamma(j)
-
-
-def _tail_quantile(v: float, alpha: float, lo: int) -> int:
-    """Smallest j >= lo with P(L >= j + 1) <= v (exact tail inversion)."""
-    log_v = math.log(v)
-    hi = lo
-    while _fixation_log_survival(hi + 1.0, alpha) > log_v:
-        hi *= 2
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if _fixation_log_survival(mid + 1.0, alpha) <= log_v:
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
+# Stirling series: log Gamma(w) = (w - 1/2) log w - w + log(2 pi)/2 + phi(w),
+# phi(w) = polyval(_STIRLING, w^-2) / w up to the w^-11 term
+_STIRLING = (-691 / 360360, 1 / 1188, -1 / 1680, 1 / 1260, -1 / 360, 1 / 12)
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 def _sample_fixation_single(alpha: float, rng: np.random.Generator, size: int, diag: dict):
-    cdf = _fixation_single_cdf(alpha)
+    """size state-1 draws: the smallest x >= 1 with P(X <= x) >= u per uniform u."""
+    j = np.arange(1.0, 32.0)  # P(X = j+1) / P(X = j) = (j - alpha) / (j + 1)
+    pmf = np.concatenate(([alpha], alpha * np.cumprod((j - alpha) / (j + 1.0))))
     u = rng.random(size)
-    idx = np.searchsorted(cdf, u, side="left")
-    out = (idx + 1).astype(np.int64)
-    tail = np.flatnonzero(idx >= cdf.size)
-    for k in tail:
-        out[k] = _tail_quantile(1.0 - float(u[k]), alpha, cdf.size + 1)
+    out = (np.searchsorted(np.cumsum(pmf), u, side="left") + 1).astype(np.int64)
+    tail = np.flatnonzero(out > 32)
     diag["tail_draws"] = diag.get("tail_draws", 0) + tail.size
+    if tail.size:
+        v = 1.0 - u[tail]
+        with np.errstate(divide="ignore", over="ignore"):  # y = inf once alpha underflows to 0
+            z = np.ceil((v * math.gamma(1.0 - alpha)) ** np.divide(-1.0, alpha))
+        if not z.max() < 2.0**63:
+            raise OverflowError(f"fixation draw past 2^63 - 1 at alpha = {alpha!r}")
+        # log P(X >= z) = log Gamma(z - alpha) - log Gamma(z) - log Gamma(1 - alpha), by Stirling
+        w = z - alpha
+        log_ge = (w - 0.5) * np.log1p(-alpha / z) - alpha * np.log(z) + alpha - math.lgamma(1.0 - alpha)
+        log_ge += np.polyval(_STIRLING, 1.0 / (w * w)) / w - np.polyval(_STIRLING, 1.0 / (z * z)) / z
+        # the table already placed these draws past 32; rounding must not undo it
+        out[tail] = np.maximum(z.astype(np.int64) - (log_ge <= np.log(v)), 33)
     return out
 
 
@@ -265,7 +246,12 @@ def sample_fixation_marginal(
     """reps draws of the fixation line at time t, started from n.
 
     Uses the branching property: the marginal is the sum of n independent
-    copies of the state-1 marginal, each drawn by exact inversion.
+    copies of the state-1 marginal, each drawn by inverting one uniform
+    (a 32-entry table, then a closed-form quantile bracket).  A
+    state-1 draw is exact up to about 1e10; past that it may be off by one
+    (by a relative 4e-15 past 1e15).  ``diagnostics["tail_draws"]`` counts
+    the state-1 draws past the table.  Raises OverflowError when a state-1
+    draw or a replicate's sum passes 2^63 - 1.
     """
     if n < 1 or not 0 <= t < math.inf:
         raise ValueError(f"need n >= 1 and 0 <= t < inf, got n={n}, t={t}")
@@ -275,8 +261,12 @@ def sample_fixation_marginal(
     chunk = max(1, (4 << 20) // max(n, 1))
     for start in range(0, reps, chunk):
         stop = min(start + chunk, reps)
-        draws = _sample_fixation_single(alpha, rng, (stop - start) * n, diag)
-        out[start:stop] = draws.reshape(stop - start, n).sum(axis=1)
+        rows = _sample_fixation_single(alpha, rng, (stop - start) * n, diag).reshape(stop - start, n)
+        # a row of draws <= INT64_MAX // n cannot wrap; sum the others exactly
+        big = rows[rows.max(axis=1) > _INT64_MAX // n]
+        if any(sum(map(int, row)) > _INT64_MAX for row in big):
+            raise OverflowError(f"fixation marginal from n={n} past 2^63 - 1 at t={t!r}")
+        out[start:stop] = rows.sum(axis=1)
     return out
 
 
@@ -318,6 +308,8 @@ def ks_distance(samples: Sequence[float], cdf: Callable[[float], float]) -> floa
     # the sample points are compared correctly.
     F = evaluate(s)
     F_left = evaluate(np.nextafter(s, -np.inf))
+    if np.isnan(F).any() or np.isnan(F_left).any():
+        raise ValueError("cdf returned NaN")
     m = s.size
     upper = np.arange(1, m + 1) / m
     lower = np.arange(0, m) / m

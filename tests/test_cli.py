@@ -158,6 +158,12 @@ class TestExitCodes:
         argv = ["simulate", "--method", "hitting", "--i", "1", "--j", "3", "--reps", "0"]
         assert run(argv) == 2
 
+    def test_converge_empty_reference_exit_two(self, capsys):
+        # --trunc 0 leaves no reference draws, so the reference cdf is NaN
+        for tol in ([], ["--tol", "0.5"]):
+            argv = ["converge", "--n", "100", "--t", "1", "--reps", "10", "--trunc", "0", *tol]
+            assert run(argv) == 2
+
     def test_converge_tol_failure_exit_one(self, capsys):
         code = run(["converge", "--method", "block", "--n", "50", "--t", "1.0",
                     "--reps", "100", "--seed", "1", "--trunc", "2000", "--tol", "0.0001"])

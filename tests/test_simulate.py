@@ -88,6 +88,12 @@ class TestPaths:
         assert states[0] == 3 and states[-1] > 500
         assert all(b > a for a, b in zip(states, states[1:]))
 
+    def test_fixation_state_cap_domain(self):
+        # NaN passes a `state_cap <= n` test and would stop the path at once
+        for cap in (3, 2, math.nan):
+            with pytest.raises(ValueError):
+                simulate_fixation(3, cap, replicate_rng(15))
+
     def test_path_sample_shape_check(self):
         with pytest.raises(ValueError):
             PathSample("block", 3, np.array([0.5]), np.array([3]))
@@ -206,6 +212,11 @@ class TestKsDistance:
         with pytest.raises(ValueError):
             ks_distance([], lambda x: 0.0)
 
+    def test_nan_cdf_rejected(self):
+        # an empty reference sample gives the ECDF 0/0 everywhere
+        with pytest.raises(ValueError):
+            ks_distance([0.5, 1.0], lambda x: np.full(np.shape(x), math.nan))
+
     def test_scaled_block_converges_to_mittag_leffler(self):
         tp = TimePoint.from_time(1.0)
         ref = np.sort(sample_mittag_leffler(tp, replicate_rng(24), size=200000))
@@ -217,3 +228,83 @@ class TestKsDistance:
             scaled_marginal_sample("block", 10000, 1.0, 4000, replicate_rng(26)), cdf
         )
         assert d_large < d_small
+
+
+class _Uniforms:
+    """Stands in for a Generator whose random(size) returns the given uniforms."""
+
+    def __init__(self, u):
+        self.u = np.asarray(u, dtype=np.float64)
+
+    def random(self, size):
+        assert size == self.u.size
+        return self.u
+
+
+def _uniform_at(x, t):
+    """A uniform whose state-1 draw at time t is about x (h(x) = v, rounded
+    onto the 2^-53 grid of rng.random)."""
+    a = math.exp(-t)
+    v = x**-a / math.gamma(1 - a)
+    return 1.0 - round(v * 2.0**53) / 2.0**53
+
+
+class TestStateOneInverse:
+    """The state-1 draw is the smallest x with P(X <= x) >= u, for the
+    Sibuya law P(X > x) = Gamma(x+1-a) / (Gamma(1-a) Gamma(x+1))."""
+
+    @staticmethod
+    def _oracle(u, t):
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(60):
+            a = mp.mpf(math.exp(-t))
+            log_v = mp.log(1 - mp.mpf(u))
+
+            def above(x):  # P(X > x) <= v, with x + 1 - a formed in mpmath
+                return mp.loggamma(x + 1 - a) - mp.loggamma(x + 1) - mp.loggamma(1 - a) <= log_v
+
+            lo, hi = 0, 1
+            while not above(hi):
+                lo, hi = hi, 2 * hi
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                lo, hi = (lo, mid) if above(mid) else (mid, hi)
+            return hi
+
+    @pytest.mark.parametrize("t", [0.5, 1.0, 1.5])
+    def test_matches_60_digit_oracle(self, t):
+        bulk = [0.0, 0.01, 0.2, 0.21, 0.4, 0.55]
+        tail = [_uniform_at(10.0**e, t) for e in np.arange(1.6, 15.01, 0.45)]
+        u = np.array(bulk + tail)
+        x = sample_fixation_marginal(1, t, u.size, _Uniforms(u), {})
+        assert x.dtype == np.int64
+        for xi, ui in zip(x.tolist(), u.tolist()):
+            q = self._oracle(ui, t)
+            # past about 1e10 float64 cannot always separate neighbouring
+            # survival values: off by one, or by a relative 4e-15
+            tol = 0 if q <= 1e10 else max(1.0, 4e-15 * q)
+            assert abs(xi - q) <= tol, (ui, xi, q)
+        assert x[: len(bulk)].max() <= 32 < x[len(bulk) :].min()
+
+    def test_tail_draws_counted(self):
+        diag = {}
+        u = [0.1, _uniform_at(1e3, 1.0), _uniform_at(1e6, 1.0)]
+        sample_fixation_marginal(1, 1.0, 3, _Uniforms(u), diag)
+        assert diag["tail_draws"] == 2
+
+    def test_draw_past_int64_overflows(self):
+        with pytest.raises(OverflowError):
+            sample_fixation_marginal(1, 3.0, 1, _Uniforms([_uniform_at(3e19, 3.0)]))
+
+    def test_row_sum_past_int64_overflows(self):
+        # each draw fits in int64 (about 5e18), their sum does not
+        u = [_uniform_at(5e18, 3.0)] * 2
+        each = sample_fixation_marginal(1, 3.0, 2, _Uniforms(u))
+        assert each.min() > 4e18 and each.max() < 2**63 - 1
+        with pytest.raises(OverflowError):
+            sample_fixation_marginal(2, 3.0, 1, _Uniforms(u))
+        # below 2^63 - 1 the sum is exact
+        u = [_uniform_at(4e18, 3.0)] * 2
+        each = sample_fixation_marginal(1, 3.0, 2, _Uniforms(u))
+        total = sample_fixation_marginal(2, 3.0, 1, _Uniforms(u))
+        assert int(total[0]) == sum(each.tolist())
