@@ -35,7 +35,9 @@ from .analytics import (
 from .limits import (
     LogProcess,
     log_cumulant,
+    mittag_leffler_cdf,
     ml_moment,
+    neveu_cdf,
     sample_mittag_leffler,
     sample_neveu,
 )
@@ -230,30 +232,19 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _reference_cdf(process: str, t: float, draws: int, rng):
-    tp = TimePoint.from_time(t)
-    sampler = sample_mittag_leffler if process == "block" else sample_neveu
-    ref = np.sort(np.asarray(sampler(tp, rng, size=draws), dtype=np.float64))
-
-    def cdf(x):
-        return np.searchsorted(ref, x, side="right") / ref.size
-
-    return cdf
-
-
 def _cmd_converge(args) -> int:
     try:
         grid = [int(v) for v in args.n.split(",")]
     except ValueError:
         raise SystemExit(2)
-    ref_draws = args.trunc if args.trunc is not None else 1_000_000
-    cdf = _reference_cdf(args.method, args.t, ref_draws, replicate_rng(args.seed, 0))
+    tp = TimePoint.from_time(args.t)
+    law = mittag_leffler_cdf if args.method == "block" else neveu_cdf
     rows = []
     ks_values = []
     for idx, n in enumerate(grid, start=1):
         rng = replicate_rng(args.seed, idx)
         samples = scaled_marginal_sample(args.method, n, args.t, args.reps, rng)
-        ks = ks_distance(samples, cdf)
+        ks = ks_distance(samples, lambda x: law(tp, x))
         ks_values.append(ks)
         rows.append([n, args.t, ks, args.reps, args.seed])
     _emit_rows(args.format, ["n", "t", "ks", "reps", "seed"], rows)
@@ -376,14 +367,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "converge",
-        help="KS distance of scaled marginals to the limit law over an n-grid",
+        help="KS distance of scaled marginals to the exact limit-law CDF over an n-grid",
     )
     p.add_argument("--method", choices=("block", "fixation"), default="block", help="process")
     p.add_argument("--n", default="100,1000,10000", help="comma-separated n grid")
     p.add_argument("--t", type=float, required=True)
     p.add_argument("--reps", type=int, default=10000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trunc", type=int, default=None, help="reference-sampler draw count")
     p.add_argument("--tol", type=float, default=None, help="exit 1 if best KS exceeds this")
     _add_common(p)
     p.set_defaults(handler=_cmd_converge)

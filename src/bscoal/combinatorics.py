@@ -11,7 +11,6 @@ them next to the exact tables.
 from __future__ import annotations
 
 import math
-import os
 import threading
 
 __all__ = [
@@ -25,9 +24,8 @@ __all__ = [
     "factorial",
 ]
 
-#: Largest row kept in the cached Stirling tables.  Overridable through the
-#: COALAB_NMAX environment variable (read once at import).
-DEFAULT_NMAX = int(os.environ.get("COALAB_NMAX", "256"))
+#: Largest row kept in the cached Stirling tables.
+DEFAULT_NMAX = 256
 
 #: Euler-Mascheroni constant, double precision.
 EULER_GAMMA = 0.5772156649015329
@@ -69,7 +67,7 @@ def _check_range(n: int, k: int) -> None:
     if n < 0 or k < 0:
         raise ValueError(f"Stirling indices must be nonnegative, got ({n}, {k})")
     if n > DEFAULT_NMAX:
-        raise ValueError(f"Stirling index n={n} exceeds table bound COALAB_NMAX={DEFAULT_NMAX}")
+        raise ValueError(f"Stirling index n={n} exceeds table bound DEFAULT_NMAX={DEFAULT_NMAX}")
 
 
 def stirling_first(n: int, k: int) -> int:

@@ -3,9 +3,10 @@
 The limit of the scaled block counting process has Mittag-Leffler
 marginals with parameter alpha = exp(-t); the limit of the scaled fixation
 line has one-sided alpha-stable marginals with Laplace transform
-exp(-lambda^alpha).  Both are sampled exactly through Kanter's
-rejection-free representation of the positive stable law, and the
-Mittag-Leffler draw is the (-alpha)-power of a stable draw.
+exp(-lambda^alpha).  A Mittag-Leffler variable is the (-alpha)-power of
+a stable one, and one kernel of Kanter's rejection-free representation of
+the stable law serves both laws twice: the samplers draw it in the log
+domain, and the exact CDFs integrate over it.
 
 Samplers accept ``size=None`` for a scalar draw or an integer for a
 vectorized batch; the random stream is always an explicit
@@ -27,6 +28,8 @@ __all__ = [
     "ml_moment",
     "sample_neveu",
     "sample_mittag_leffler",
+    "mittag_leffler_cdf",
+    "neveu_cdf",
     "neveu_laplace_fd",
     "log_cumulant",
     "siegmund_duality_gap",
@@ -44,23 +47,20 @@ def ml_moment(tp: TimePoint, m: float) -> float:
     return math.exp(math.lgamma(1.0 + m) - math.lgamma(1.0 + m * tp.alpha))
 
 
-def _kanter_stable(alpha: float, rng: np.random.Generator, size):
-    # S = (A(U) / E)^((1-alpha)/alpha) with
-    # A(u) = sin(a pi u)^(a/(1-a)) sin((1-a) pi u) / sin(pi u)^(1/(1-a)),
-    # normalized so that E exp(-lam S) = exp(-lam^alpha).
-    scalar = size is None
-    n = 1 if scalar else int(size)
-    u = 1.0 - rng.random(n)  # in (0, 1]
-    e = rng.exponential(size=n)
-    a = alpha
-    log_s = (
-        np.log(np.sin(a * np.pi * u))
-        + (1.0 - a) / a * np.log(np.sin((1.0 - a) * np.pi * u))
-        - np.log(np.sin(np.pi * u)) / a
-        - (1.0 - a) / a * np.log(e)
+def _kanter_kernel(a: float, u):
+    # k(u) = (1-a) log A(u) for Kanter's A(u) = sin(a pi u)^(a/(1-a)) sin((1-a) pi u) / sin(pi u)^(1/(1-a)),
+    # increasing from a log a + (1-a) log(1-a) at u = 0 to +inf at u = 1.  For U uniform on (0, 1)
+    # and E standard exponential, exp((1-a) log E - k(U)) is Mittag-Leffler.
+    return (
+        a * np.log(np.sin(a * np.pi * u))
+        + (1.0 - a) * np.log(np.sin((1.0 - a) * np.pi * u))
+        - np.log(np.sin(np.pi * u))
     )
-    s = np.exp(log_s)
-    return float(s[0]) if scalar else s
+
+
+def _log_mittag_leffler(a: float, rng: np.random.Generator, size):
+    u = 1.0 - rng.random(size)  # in (0, 1]
+    return (1.0 - a) * np.log(rng.exponential(size=size)) - _kanter_kernel(a, u)
 
 
 def sample_neveu(tp: TimePoint, rng: np.random.Generator, size=None):
@@ -70,15 +70,59 @@ def sample_neveu(tp: TimePoint, rng: np.random.Generator, size=None):
     """
     if tp.alpha == 1.0:
         return 1.0 if size is None else np.ones(int(size))
-    return _kanter_stable(tp.alpha, rng, size)
+    return np.exp(_log_mittag_leffler(tp.alpha, rng, size) / -tp.alpha)
 
 
 def sample_mittag_leffler(tp: TimePoint, rng: np.random.Generator, size=None):
     """Draws with moments Gamma(1+m)/Gamma(1+m alpha): S^(-alpha) for stable S."""
     if tp.alpha == 1.0:
         return 1.0 if size is None else np.ones(int(size))
-    s = _kanter_stable(tp.alpha, rng, size)
-    return s ** (-tp.alpha) if size is not None else float(s) ** (-tp.alpha)
+    return np.exp(_log_mittag_leffler(tp.alpha, rng, size))
+
+
+# 10 Gauss-Legendre nodes on each of [0, 1/2], [1/2, 3/4], ..., [1 - 2^-40, 1]: the CDF
+# integrands fall to 0 at a distance from u = 1 proportional to x.
+_EDGES = np.append(1.0 - 0.5 ** np.arange(41.0), 1.0)
+_HALF = np.diff(_EDGES)[:, None] / 2
+_GL, _GW = np.polynomial.legendre.leggauss(10)
+_NODES, _WEIGHTS = (_EDGES[:-1, None] + _HALF * (1.0 + _GL)).ravel(), (_HALF * _GW).ravel()
+
+
+def _kanter_integral(tp: TimePoint, log_x: np.ndarray, g) -> np.ndarray:
+    """int_0^1 g((x e^{k(u)})^(1/(1-alpha))) du on the graded rule, given log x."""
+    k, p, flat = _kanter_kernel(tp.alpha, _NODES), 1.0 / (1.0 - tp.alpha), log_x.ravel()
+    out = np.empty_like(flat)
+    with np.errstate(over="ignore"):
+        for s in range(0, flat.size, 128):  # 128 x 410 blocks stay in cache
+            out[s : s + 128] = g(np.exp((flat[s : s + 128, None] + k) * p)) @ _WEIGHTS
+    return out.reshape(log_x.shape)
+
+
+def mittag_leffler_cdf(tp: TimePoint, x):
+    """P(X <= x) = 1 - int_0^1 exp(-(x e^{k(u)})^(1/(1-alpha))) du, vectorized over x.
+
+    Kanter's representation (Kanter 1975; Zolotarev 1986) on a fixed 410-node graded
+    Gauss-Legendre rule.  Over the 0.1%-99.9% quantiles the absolute error against the
+    alternating power series (150 digits) is at most 1.3e-13 for t >= 0.5 and 1.2e-15 for
+    t >= 1.  As alpha -> 1 the integrand sharpens into a step: 1.2e-11 at t = 0.3, 6.4e-10
+    at 0.2, 1.8e-7 at 0.1, 6e-6 at 0.05, about 2.6e-4 at t = 1e-2, 1e-3 and 1e-4.  t = 0 is
+    the point mass at 1, and x <= 0 gives 0.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    if tp.alpha == 1.0:
+        return np.heaviside(x - 1.0, 1.0)
+    with np.errstate(divide="ignore"):
+        return _kanter_integral(tp, np.log(np.maximum(x, 0.0)), lambda v: -np.expm1(-v))
+
+
+def neveu_cdf(tp: TimePoint, y):
+    """P(Y <= y) = 1 - mittag_leffler_cdf(tp, y^(-alpha)), vectorized over y, with the same
+    accuracy.  t = 0 is the point mass at 1, and y <= 0 gives 0."""
+    y = np.asarray(y, dtype=np.float64)
+    if tp.alpha == 1.0:
+        return mittag_leffler_cdf(tp, y)
+    with np.errstate(divide="ignore"):
+        return _kanter_integral(tp, -tp.alpha * np.log(np.maximum(y, 0.0)), lambda v: np.exp(-v))
 
 
 def neveu_laplace_fd(times: Sequence[float], lambdas: Sequence[float]) -> float:

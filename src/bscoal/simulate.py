@@ -289,28 +289,20 @@ def scaled_marginal_sample(
     return states / n ** math.exp(t)
 
 
-def ks_distance(samples: Sequence[float], cdf: Callable[[float], float]) -> float:
-    """Sup-norm distance between the empirical CDF of samples and cdf."""
-    s = np.sort(np.asarray(samples, dtype=np.float64))
-    if s.size == 0:
+def ks_distance(samples: Sequence[float], cdf: Callable[[np.ndarray], np.ndarray]) -> float:
+    """Sup-norm distance between the empirical CDF of samples and cdf, which must map
+    an array to an array of the same shape: one call on the distinct sample values and
+    their left neighbours."""
+    v, counts = np.unique(np.asarray(samples, dtype=np.float64), return_counts=True)
+    if v.size == 0:
         raise ValueError("samples must be nonempty")
-
-    def evaluate(points):
-        try:
-            F = np.asarray(cdf(points), dtype=np.float64)
-            if F.shape != points.shape:
-                raise TypeError
-            return F
-        except TypeError:
-            return np.array([cdf(x) for x in points], dtype=np.float64)
-
     # The lower discrepancy needs left limits so that cdfs with atoms at
     # the sample points are compared correctly.
-    F = evaluate(s)
-    F_left = evaluate(np.nextafter(s, -np.inf))
-    if np.isnan(F).any() or np.isnan(F_left).any():
+    points = np.concatenate((v, np.nextafter(v, -np.inf)))
+    F = np.asarray(cdf(points), dtype=np.float64)
+    if F.shape != points.shape:
+        raise ValueError(f"cdf mapped shape {points.shape} to {F.shape}, not to the same shape")
+    if np.isnan(F).any():
         raise ValueError("cdf returned NaN")
-    m = s.size
-    upper = np.arange(1, m + 1) / m
-    lower = np.arange(0, m) / m
-    return float(max((upper - F).max(), (F_left - lower).max(), 0.0))
+    c = np.cumsum(counts)
+    return float(max((c / c[-1] - F[: v.size]).max(), (F[v.size :] - (c - counts) / c[-1]).max(), 0.0))

@@ -9,12 +9,12 @@ Two criteria are stated where the exact laws can meet them:
   0.0168 at 10^8). The test also checks that the gap shrinks from 10^6
   to 10^8 at every grid point;
 - criterion 10's fixation half orders KS distances over n in {10, 30, 100}
-  at 10^5 draws (levels about 0.070, 0.021, 0.0067). The KS noise floor
+  at 10^5 draws (levels about 0.070, 0.021, 0.0071). The KS noise floor
   is about 0.87/sqrt(m), 0.0027 at m = 10^5, and beyond n = 100 the
   scaled fixation marginal is inside it, so larger n cannot be ordered
   at an affordable m. n = 10^4 is kept as a bound: its KS distance at
-  10^4 draws must lie below the two-sample Kolmogorov 0.999 critical
-  value against the 10^6-draw reference.
+  10^4 draws must lie below the one-sample Kolmogorov 0.999 critical
+  value 1.95/sqrt(m) against the exact limit CDF.
 """
 
 import io
@@ -219,24 +219,19 @@ def test_criterion_09_limit_samplers():
     assert ok
 
 
-_KS_REF_DRAWS = 10**6
-
-
 def _ks_over_grid(
     process: str, t: float, seed: int, stream_base: int, grid: list[tuple[int, int]]
 ) -> list[float]:
-    """KS distance to a 10^6-draw limit sample for each (n, draws) in grid.
+    """One-sample KS distance to the exact limit CDF for each (n, draws) in grid.
 
-    The reference uses stream stream_base, the k-th grid point stream_base + k.
+    The k-th grid point draws from stream stream_base + k.
     """
     tp = b.TimePoint.from_time(t)
-    sampler = b.sample_mittag_leffler if process == "block" else b.sample_neveu
-    ref = np.sort(sampler(tp, b.replicate_rng(seed, stream_base), size=_KS_REF_DRAWS))
-    cdf = lambda x: np.searchsorted(ref, x, side="right") / ref.size
+    law = b.mittag_leffler_cdf if process == "block" else b.neveu_cdf
     out = []
     for idx, (n, draws) in enumerate(grid, start=stream_base + 1):
         s = b.scaled_marginal_sample(process, n, t, draws, b.replicate_rng(seed, idx))
-        out.append(b.ks_distance(s, cdf))
+        out.append(b.ks_distance(s, lambda x: law(tp, x)))
     return out
 
 
@@ -252,12 +247,12 @@ def test_criterion_10_block_ks_monotone():
 
 def test_criterion_10_fixation_ks_monotone():
     t0 = time.time()
-    # levels about 0.070, 0.021, 0.0067; past n = 100 they sink under the
+    # levels about 0.070, 0.021, 0.0071; past n = 100 they sink under the
     # KS noise floor 0.87/sqrt(draws), so the ordering stops at n = 100
     grid = [(10, 10**5), (30, 10**5), (100, 10**5), (10**4, 10**4)]
     ks = _ks_over_grid("fixation", 0.5, 0, 100, grid)
     m = grid[-1][1]
-    crit = 1.95 * math.sqrt(1 / m + 1 / _KS_REF_DRAWS)  # Kolmogorov 0.999 quantile
+    crit = 1.95 / math.sqrt(m)  # one-sample Kolmogorov 0.999 quantile
     dt = time.time() - t0
     ok = ks[0] > ks[1] > ks[2] and ks[3] < crit and dt < 600
     _report(10, "fixation scaled-marginal KS decreases over n=10,30,100; "
@@ -297,7 +292,7 @@ def test_criterion_13_cli_reproducibility(capsys):
     argv_sim = ["simulate", "--method", "block-marginal", "--n", "40", "--t", "1.0",
                 "--reps", "500", "--seed", "11"]
     argv_con = ["converge", "--method", "block", "--n", "50,100", "--t", "1.0",
-                "--reps", "300", "--seed", "11", "--trunc", "5000"]
+                "--reps", "300", "--seed", "11"]
     outputs = []
     for argv in (argv_sim, argv_sim, argv_con, argv_con):
         code = cli_run(argv)

@@ -113,7 +113,7 @@ class TestSimulation:
 
     def test_converge_csv_schema_and_determinism(self, capsys):
         argv = ["converge", "--method", "block", "--n", "50,100", "--t", "1.0",
-                "--reps", "200", "--seed", "5", "--trunc", "5000"]
+                "--reps", "200", "--seed", "5"]
         code, a = _capture(capsys, argv)
         assert code == 0
         rows = list(csv.DictReader(io.StringIO(a)))
@@ -158,13 +158,13 @@ class TestExitCodes:
         argv = ["simulate", "--method", "hitting", "--i", "1", "--j", "3", "--reps", "0"]
         assert run(argv) == 2
 
-    def test_converge_empty_reference_exit_two(self, capsys):
-        # --trunc 0 leaves no reference draws, so the reference cdf is NaN
-        for tol in ([], ["--tol", "0.5"]):
-            argv = ["converge", "--n", "100", "--t", "1", "--reps", "10", "--trunc", "0", *tol]
-            assert run(argv) == 2
+    def test_converge_has_no_trunc(self, capsys):
+        # the limit law enters through its exact CDF: there is no reference to size
+        with pytest.raises(SystemExit) as exc:
+            run(["converge", "--n", "100", "--t", "1", "--reps", "10", "--trunc", "5"])
+        assert exc.value.code == 2
 
     def test_converge_tol_failure_exit_one(self, capsys):
         code = run(["converge", "--method", "block", "--n", "50", "--t", "1.0",
-                    "--reps", "100", "--seed", "1", "--trunc", "2000", "--tol", "0.0001"])
+                    "--reps", "100", "--seed", "1", "--tol", "0.0001"])
         assert code == 1

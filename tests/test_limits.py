@@ -1,6 +1,7 @@
 """Limit-law samplers, Laplace transforms, cumulants, and the power inequality."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -12,14 +13,16 @@ from bscoal.limits import (
     LogProcess,
     check_pow_inequality,
     log_cumulant,
+    mittag_leffler_cdf,
     ml_moment,
+    neveu_cdf,
     neveu_laplace_fd,
     sample_mittag_leffler,
     sample_neveu,
     siegmund_duality_gap,
 )
 from bscoal.combinatorics import EULER_GAMMA
-from bscoal.simulate import replicate_rng
+from bscoal.simulate import ks_distance, replicate_rng
 
 REPS = 10**5
 
@@ -82,6 +85,17 @@ class TestSamplers:
         slope = np.polyfit(np.log(qs), np.log(tails), 1)[0]
         assert slope == pytest.approx(-alpha, abs=0.05)
 
+    @pytest.mark.parametrize("t", [6.0, 10.0, 20.0, 40.0])
+    def test_mittag_leffler_finite_at_large_t(self, t):
+        # alpha = e^-t is tiny: the draw must not pass through S = X^(-1/alpha)
+        tp = TimePoint.from_time(t)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            x = sample_mittag_leffler(tp, replicate_rng(1), size=2 * REPS)
+        assert np.all(np.isfinite(x)) and np.all(x > 0)
+        se = x.std() / math.sqrt(x.size)
+        assert abs(x.mean() - ml_moment(tp, 1)) < 5 * se
+
     def test_log_moments_match_cumulants(self):
         t = 0.7
         tp = TimePoint.from_time(t)
@@ -93,6 +107,73 @@ class TestSamplers:
         var = centered.var()
         se2 = (centered**2).std() / math.sqrt(REPS)
         assert abs(var - log_cumulant(spec, 2)) < 4 * se2
+
+
+def _series_cdf(mpmath, alpha: float, x):
+    """Mittag-Leffler CDF by its alternating power series, free of Kanter's
+    representation: (1/(pi a)) sum_k (-1)^(k+1) Gamma(a k + 1) sin(pi a k) x^k / (k k!)."""
+    with mpmath.workdps(100):
+        a, x = mpmath.mpf(alpha), mpmath.mpf(x)
+        total, k = mpmath.mpf(0), 1
+        while True:
+            term = mpmath.gamma(a * k + 1) * mpmath.sin(mpmath.pi * a * k) * x**k / (k * mpmath.factorial(k))
+            total += term if k % 2 else -term
+            if k > 10 and abs(term) < mpmath.mpf(10) ** -40:
+                return float(total / (mpmath.pi * a))
+            k += 1
+
+
+class TestExactCdfs:
+    @pytest.mark.parametrize("t", [0.5, 1.0, 2.0, 6.0, 20.0])
+    def test_match_series_oracle(self, t):
+        mpmath = pytest.importorskip("mpmath")
+        tp = TimePoint.from_time(t)
+        a = tp.alpha
+        # the 0.1%-99.9% quantile range of X, and the stable points y = x^(-1/a)
+        # that float64 can hold (at t = 20 only those near y = 1 remain)
+        xs = np.logspace(-3.5, 1.0, 400)
+        F = mittag_leffler_cdf(tp, xs)
+        xs = xs[(F > 1e-3) & (F < 1 - 1e-3)][::10]
+        for x, f in zip(xs, mittag_leffler_cdf(tp, xs)):
+            assert abs(f - _series_cdf(mpmath, a, x)) < 1e-9, x
+        with np.errstate(over="ignore", divide="ignore"):
+            ys = np.concatenate((xs ** (-1.0 / a), [1e-300, 1.0, 1e300]))
+        G = neveu_cdf(tp, ys)
+        keep = (G > 1e-3) & (G < 1 - 1e-3)
+        assert keep.sum() >= 3
+        for y, g in zip(ys[keep], G[keep]):
+            with mpmath.workdps(100):
+                x = mpmath.mpf(y) ** -mpmath.mpf(a)
+            assert abs(g - (1.0 - _series_cdf(mpmath, a, x))) < 1e-9, y
+
+    @pytest.mark.parametrize("t", [0.5, 1.0, 2.0])
+    def test_samplers_match_exact_cdfs(self, t):
+        tp = TimePoint.from_time(t)
+        crit = 1.95 / math.sqrt(REPS)  # one-sample Kolmogorov 0.999 quantile
+        x = sample_mittag_leffler(tp, replicate_rng(110), size=REPS)
+        assert ks_distance(x, lambda v: mittag_leffler_cdf(tp, v)) < crit
+        y = sample_neveu(tp, replicate_rng(111), size=REPS)
+        assert ks_distance(y, lambda v: neveu_cdf(tp, v)) < crit
+
+    def test_time_zero_is_step_at_one(self):
+        tp = TimePoint.from_time(0.0)
+        pts = np.array([0.5, 1.0 - 1e-12, 1.0, 2.0])
+        for cdf in (mittag_leffler_cdf, neveu_cdf):
+            assert list(cdf(tp, pts)) == [0.0, 0.0, 1.0, 1.0]
+
+    def test_nonpositive_gives_zero(self):
+        for t in (0.5, 2.0):
+            tp = TimePoint.from_time(t)
+            for cdf in (mittag_leffler_cdf, neveu_cdf):
+                assert np.all(cdf(tp, np.array([-np.inf, -3.0, 0.0])) == 0.0)
+                assert cdf(tp, np.inf) == pytest.approx(1.0, abs=1e-15)
+                assert math.isnan(cdf(tp, math.nan))
+
+    def test_monotone(self):
+        tp = TimePoint.from_time(1.0)
+        grid = np.logspace(-6, 3, 500)
+        for cdf in (mittag_leffler_cdf, neveu_cdf):
+            assert np.all(np.diff(cdf(tp, grid)) >= 0.0)
 
 
 class TestLaplaceRecursion:

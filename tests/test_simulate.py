@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from bscoal.analytics import TimePoint, absorption_cdf, block_tail_via_duality, fixation_marginal
-from bscoal.limits import sample_mittag_leffler
+from bscoal.limits import mittag_leffler_cdf
 from bscoal.simulate import (
     PathSample,
     estimate_hitting,
@@ -204,23 +204,33 @@ class TestKsDistance:
         d = ks_distance(u, lambda x: np.clip(x, 0.0, 1.0))
         assert d < 0.025
 
-    def test_scalar_cdf_callable(self):
-        d = ks_distance([0.2, 0.5, 0.9], lambda x: min(max(float(x), 0.0), 1.0))
-        assert 0.0 <= d <= 1.0
+    def test_ties_match_per_sample_formula(self):
+        # the sup over distinct values equals the textbook sup over the sorted sample
+        s = np.array([9, 5, 1, 2, 5, 3, 2, 5], dtype=np.float64)
+        cdf = lambda x: 1.0 - 1.0 / np.maximum(x, 1.0)
+        m = s.size
+        ref = max(
+            max((i + 1) / m - cdf(v), cdf(np.nextafter(v, -np.inf)) - i / m)
+            for i, v in enumerate(np.sort(s))
+        )
+        assert ks_distance(s, cdf) == max(ref, 0.0)
+
+    def test_cdf_shape_mismatch_rejected(self):
+        # a scalar cdf called on the array of sample values returns one value
+        with pytest.raises(ValueError):
+            ks_distance([0.2, 0.5, 0.9], lambda x: 0.5)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             ks_distance([], lambda x: 0.0)
 
     def test_nan_cdf_rejected(self):
-        # an empty reference sample gives the ECDF 0/0 everywhere
         with pytest.raises(ValueError):
             ks_distance([0.5, 1.0], lambda x: np.full(np.shape(x), math.nan))
 
     def test_scaled_block_converges_to_mittag_leffler(self):
         tp = TimePoint.from_time(1.0)
-        ref = np.sort(sample_mittag_leffler(tp, replicate_rng(24), size=200000))
-        cdf = lambda x: np.searchsorted(ref, x, side="right") / ref.size
+        cdf = lambda x: mittag_leffler_cdf(tp, x)
         d_small = ks_distance(
             scaled_marginal_sample("block", 100, 1.0, 4000, replicate_rng(25)), cdf
         )
