@@ -66,11 +66,17 @@ def _log_mittag_leffler(a: float, rng: np.random.Generator, size):
 def sample_neveu(tp: TimePoint, rng: np.random.Generator, size=None):
     """Draws of the one-sided stable marginal with Laplace transform exp(-lam^alpha).
 
-    alpha = 1 is the degenerate point mass at 1.
+    alpha = 1 is the degenerate point mass at 1.  log Y = log X / -alpha for a
+    Mittag-Leffler X grows like e^t, so from t of about 4 on a draw can leave
+    the float64 range (0, inf); that raises ValueError.
     """
     if tp.alpha == 1.0:
         return 1.0 if size is None else np.ones(int(size))
-    return np.exp(_log_mittag_leffler(tp.alpha, rng, size) / -tp.alpha)
+    with np.errstate(over="ignore", under="ignore"):
+        y = np.exp(_log_mittag_leffler(tp.alpha, rng, size) / -tp.alpha)
+    if not (np.all(y > 0.0) and np.all(y < math.inf)):
+        raise ValueError(f"a stable draw at t = {tp.t!r} leaves the float64 range (0, inf)")
+    return y
 
 
 def sample_mittag_leffler(tp: TimePoint, rng: np.random.Generator, size=None):
@@ -192,9 +198,12 @@ def siegmund_duality_gap(
         raise ValueError("need x, y >= 0 and t > 0")
     tp = TimePoint.from_time(t)
     xs = sample_mittag_leffler(tp, rng, size=reps)
-    ys = sample_neveu(tp, rng, size=reps)
     p_x = float(np.mean(x ** tp.alpha * xs <= y))
-    p_y = float(np.mean(y ** math.exp(t) * ys >= x))
+    # Y_t = X'^(-1/alpha) for a second Mittag-Leffler X' (the draws of sample_neveu),
+    # compared in the log domain: Y_t leaves the float64 range from t of about 4 on
+    with np.errstate(divide="ignore", over="ignore"):
+        log_ys = np.log(sample_mittag_leffler(tp, rng, size=reps)) / -tp.alpha
+        p_y = float(np.mean(np.log(y) / tp.alpha + log_ys >= np.log(x)))
     return p_x - p_y
 
 

@@ -154,6 +154,10 @@ class TestExitCodes:
     def test_simulate_nan_time_exit_two(self, capsys):
         assert run(["simulate", "--method", "block-marginal", "--n", "10", "--t", "nan"]) == 2
 
+    def test_neveu_sample_out_of_float_range_exit_two(self, capsys):
+        assert run(["limits", "--method", "sample-neveu", "--t", "20"]) == 2
+        assert "t = 20.0" in capsys.readouterr().err
+
     def test_simulate_hitting_zero_reps_exit_two(self, capsys):
         argv = ["simulate", "--method", "hitting", "--i", "1", "--j", "3", "--reps", "0"]
         assert run(argv) == 2

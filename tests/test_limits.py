@@ -96,6 +96,15 @@ class TestSamplers:
         se = x.std() / math.sqrt(x.size)
         assert abs(x.mean() - ml_moment(tp, 1)) < 5 * se
 
+    @pytest.mark.parametrize("t", [6.0, 20.0])
+    def test_neveu_out_of_float_range_raises(self, t):
+        # log Y is of order e^t: most draws pass 1e308 or fall below 1e-308
+        tp = TimePoint.from_time(t)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError, match=f"t = {t!r}"):
+                sample_neveu(tp, replicate_rng(1), size=REPS)
+
     def test_log_moments_match_cumulants(self):
         t = 0.7
         tp = TimePoint.from_time(t)
@@ -258,6 +267,12 @@ class TestDuality:
     def test_x_zero_trivial(self):
         gap = siegmund_duality_gap(0.0, 1.0, 1.0, 1000, replicate_rng(108))
         assert gap == 0.0
+
+    @pytest.mark.parametrize("t", [6.0, 20.0])
+    def test_gap_near_zero_past_float_range(self, t):
+        # most stable draws at these t leave (0, inf); the gap is formed in the log domain
+        gap = siegmund_duality_gap(1.0, 2.0, t, REPS, replicate_rng(109))
+        assert abs(gap) < 5 * math.sqrt(0.5 / REPS)
 
 
 class TestPowInequality:

@@ -20,7 +20,7 @@ from bscoal.simulate import (
     simulate_block,
     simulate_fixation,
 )
-from bscoal.simulate import _block_decrement  # noqa: F401  (jump-law test below)
+from bscoal.simulate import _block_decrement, _sibuya_inverse
 
 # chi-square critical value at p = 0.001, df = 9 (frozen table value)
 CHI2_CRIT_9_999 = 27.877
@@ -193,6 +193,120 @@ class TestEstimators:
         assert simulate_block(10, math.inf, replicate_rng(0)).states[-1] == 1
 
 
+def _block_marginal_by_jumps(n, t, reps, rng):
+    """The block count at time t by the vectorized jump chain: the oracle of the
+    duality sampler.  Each round draws one exponential per chain above 1 and one
+    uniform per chain whose next jump lands by t, in index order."""
+    states = np.full(reps, n, dtype=np.int64)
+    clocks = np.zeros(reps)
+    active = np.flatnonzero(states > 1)
+    while active.size:
+        s = states[active].astype(np.float64)
+        nt = clocks[active] + rng.exponential(size=active.size) / (s - 1.0)
+        land = nt <= t
+        active = active[land]
+        clocks[active] = nt[land]
+        states[active] -= _block_decrement(s[land], 1.0 - rng.random(active.size)).astype(np.int64)
+        active = active[states[active] > 1]
+    return states
+
+
+class TestBlockMarginalByDuality:
+    """N_t from n is the number of state-1 fixation draws whose sum first reaches n."""
+
+    @pytest.mark.parametrize(
+        "n, t, levels",
+        [
+            (50, 1.0, (1, 2, 3, 5, 10, 20)),
+            (50, 0.1, (1, 3, 10, 20, 40)),
+            (1000, 0.5, (1, 3, 10, 20, 40)),
+            (30, 3.0, (1, 2, 3, 5)),
+        ],
+    )
+    def test_matches_jump_chain_and_exact_tail(self, n, t, levels):
+        reps, oracle_reps = 10**5, 2 * 10**4
+        s = sample_block_marginal(n, t, reps, replicate_rng(31, n))
+        chain = _block_marginal_by_jumps(n, t, oracle_reps, replicate_rng(32, n))
+        assert s.dtype == np.int64 and s.min() >= 1 and s.max() <= n
+        tp = TimePoint.from_time(t)
+        for i in levels:
+            p = block_tail_via_duality(n, i, tp)
+            f = (s <= i).mean()
+            assert abs(f - p) <= 5 * math.sqrt(p * (1 - p) / reps), (i, f, p)
+            two_sample = math.sqrt(p * (1 - p) * (1 / reps + 1 / oracle_reps))
+            assert abs(f - (chain <= i).mean()) <= 5 * two_sample, (i, f, (chain <= i).mean())
+
+    def test_edge_cases(self):
+        # n = 1 is in test_block_samplers_at_their_stopping_state
+        rng = replicate_rng(33)
+        assert np.array_equal(sample_block_marginal(40, math.inf, 20, rng), np.ones(20))
+        empty = sample_block_marginal(40, 1.0, 0, rng)
+        assert empty.dtype == np.int64 and empty.size == 0
+        for n, t in ((40, math.nan), (0, 1.0), (2**62 + 1, 1.0)):
+            with pytest.raises(ValueError):
+                sample_block_marginal(n, t, 5, rng)
+
+    def test_time_zero_stays_put(self):
+        # e^-t rounds to 1 at t <= 2^-54: the Sibuya law is the point mass at 1
+        for t in (0.0, 1e-17):
+            assert np.array_equal(sample_block_marginal(40, t, 20, replicate_rng(33)), np.full(20, 40))
+            assert np.array_equal(sample_fixation_marginal(40, t, 20, replicate_rng(33)), np.full(20, 40))
+
+    def test_huge_n_is_cheap(self):
+        # about n^(e^-t) state-1 draws per replicate, not O(n) jumps
+        n = 10**12
+        s = sample_block_marginal(n, 3.0, 10**4, replicate_rng(34))
+        assert s.min() >= 1 and s.max() <= n
+
+    def test_conditional_uniform_at_one_is_capped(self):
+        # alpha + (1 - alpha) r can round to 1.0 (at t = 0.5), where 1 - u = 0 and the
+        # quantile would be infinite; at t = 1 and 3 it is a draw far past int64
+        r = np.array([np.nextafter(1.0, 0.0)])
+        assert math.exp(-0.5) + (1 - math.exp(-0.5)) * r[0] == 1.0
+        for t in (0.5, 1.0, 3.0):
+            above_one = _sibuya_inverse(math.exp(-t), lo=math.exp(-t))
+            assert above_one(r, cap=50).tolist() == [50]
+            assert above_one(r, cap=10**12).tolist() == [10**12]
+
+
+def _table_cdf(alpha):
+    j = np.arange(1.0, 32.0)
+    return np.cumsum(np.concatenate(([alpha], alpha * np.cumprod((j - alpha) / (j + 1.0)))))
+
+
+class TestStateOneTable:
+    @pytest.mark.parametrize("t", [0.01, 0.5, 1.0, 1.5, 3.0, 10.0])
+    def test_guide_table_matches_binary_search(self, t):
+        alpha = math.exp(-t)
+        cdf = _table_cdf(alpha)
+        knots = np.concatenate((cdf, np.nextafter(cdf, 0.0), np.nextafter(cdf, 1.0)))
+        u = np.concatenate((replicate_rng(35).random(10**6), knots[knots < 1.0], [0.0]))
+        want = np.searchsorted(cdf, u, side="left") + 1
+        # the cap keeps t = 10 (almost every draw past 1e9) from overflowing int64
+        got = _sibuya_inverse(alpha)(u, cap=10**6)
+        table = want <= 32
+        assert np.array_equal(got[table], want[table])
+        assert got[~table].min(initial=33) >= 33
+        # given X >= 2, the guide spans [alpha, 1]
+        r = np.concatenate((u, (knots[knots >= alpha] - alpha) / (1.0 - alpha)))
+        r = r[r < 1.0]
+        want = np.searchsorted(cdf, alpha + (1.0 - alpha) * r, side="left") + 1
+        got = _sibuya_inverse(alpha, lo=alpha)(r, cap=10**6)
+        table = want <= 32
+        assert np.array_equal(got[table], want[table])
+        assert got[~table].min(initial=33) >= 33
+
+    @pytest.mark.parametrize("n, t, reps", [(3, 1.0, 1000), (3, 0.5, 200_000)])
+    def test_chunks_read_one_uniform_stream(self, n, t, reps):
+        # 6e5 uniforms span ten chunks of about 2^16
+        diag = {}
+        got = sample_fixation_marginal(n, t, reps, replicate_rng(36), diag)
+        want_diag = {}
+        u = replicate_rng(36).random(n * reps)
+        want = _sibuya_inverse(math.exp(-t))(u, diag=want_diag).reshape(reps, n).sum(axis=1)
+        assert np.array_equal(got, want) and diag == want_diag
+
+
 class TestKsDistance:
     def test_point_mass(self):
         cdf = lambda x: np.where(np.asarray(x) >= 2.0, 1.0, 0.0)
@@ -264,11 +378,12 @@ class TestStateOneInverse:
     Sibuya law P(X > x) = Gamma(x+1-a) / (Gamma(1-a) Gamma(x+1))."""
 
     @staticmethod
-    def _oracle(u, t):
+    def _oracle(u, t, lo=0.0):
+        """The quantile at lo + (1 - lo) u, with P(X > x) = (1 - lo)(1 - u) formed in mpmath."""
         mp = pytest.importorskip("mpmath")
         with mp.workdps(60):
             a = mp.mpf(math.exp(-t))
-            log_v = mp.log(1 - mp.mpf(u))
+            log_v = mp.log((1 - mp.mpf(lo)) * (1 - mp.mpf(u)))
 
             def above(x):  # P(X > x) <= v, with x + 1 - a formed in mpmath
                 return mp.loggamma(x + 1 - a) - mp.loggamma(x + 1) - mp.loggamma(1 - a) <= log_v
@@ -295,6 +410,17 @@ class TestStateOneInverse:
             tol = 0 if q <= 1e10 else max(1.0, 4e-15 * q)
             assert abs(xi - q) <= tol, (ui, xi, q)
         assert x[: len(bulk)].max() <= 32 < x[len(bulk) :].min()
+
+    @pytest.mark.parametrize("t", [0.01, 0.1, 0.5])
+    def test_draws_above_one_match_60_digit_oracle(self, t):
+        # X given X >= 2, as the block sampler draws it: at small t, 1 - u formed from
+        # u = alpha + (1 - alpha) r would lose the digits of the tail
+        a = math.exp(-t)
+        levels = 10.0 ** np.arange(1.6, 10.01, 0.4)
+        r = [1.0 - round(x**-a / math.gamma(1 - a) / (1 - a) * 2.0**53) / 2.0**53 for x in levels]
+        x = _sibuya_inverse(a, lo=a)(np.array(r), cap=10**12)
+        for xi, ri in zip(x.tolist(), r):
+            assert xi == self._oracle(ri, t, lo=a), (ri, xi)
 
     def test_tail_draws_counted(self):
         diag = {}
