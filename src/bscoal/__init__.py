@@ -8,6 +8,8 @@ and one-sided stable limit marginals, and exact-distribution Monte Carlo
 with reproducible substreams.
 """
 
+import importlib
+
 from .combinatorics import (
     DEFAULT_NMAX,
     EULER_GAMMA,
@@ -50,31 +52,25 @@ from .analytics import (
     hitting_probability,
     reciprocal_factorial_moment,
 )
-from .limits import (
-    LogProcess,
-    check_pow_inequality,
-    log_cumulant,
-    mittag_leffler_cdf,
-    ml_moment,
-    neveu_cdf,
-    neveu_laplace_fd,
-    sample_mittag_leffler,
-    sample_neveu,
-    siegmund_duality_gap,
-)
-from .simulate import (
-    EstimateWithError,
-    PathSample,
-    estimate_hitting,
-    ks_distance,
-    replicate_rng,
-    sample_absorption_times,
-    sample_block_marginal,
-    sample_fixation_marginal,
-    scaled_marginal_sample,
-    simulate_block,
-    simulate_fixation,
-)
+# limits and simulate import numpy, most of a cold start: they load on the
+# first use of one of their names (PEP 562), so closed-form work never does.
+_NUMPY_MODULES = ("limits", "simulate")
+
+
+def __getattr__(name):
+    if name not in __all__ and name not in _NUMPY_MODULES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # importing a submodule binds it here; bind the name asked for as well
+    for sub in _NUMPY_MODULES:
+        module = importlib.import_module(f"{__name__}.{sub}")
+        if name in module.__all__:
+            globals()[name] = getattr(module, name)
+    return globals()[name]
+
+
+def __dir__():
+    return sorted({*globals(), *__all__, *_NUMPY_MODULES})
+
 
 __version__ = "0.1.0"
 

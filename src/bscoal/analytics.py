@@ -15,13 +15,12 @@ Conventions: states are 1-based positive integers; ``alpha`` always means
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import operator
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 from .combinatorics import (
     EULER_GAMMA,
@@ -258,21 +257,26 @@ _RENEWAL_MAX_D = 1000
 _RENEWAL = _RenewalMasses()
 
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
-# mapped to [0, 1]
-_GL_X = 0.5 * (_GL_NODES + 1.0)
-_GL_W = 0.5 * _GL_WEIGHTS
+@functools.cache
+def _gauss_legendre() -> tuple[tuple[float, float, float], ...]:
+    """The 64-node Gauss-Legendre rule mapped to [0, 1], as (x, w, lgamma(x)).
+
+    Built on first use, so that importing this module does not load numpy.
+    """
+    import numpy as np
+
+    nodes, weights = np.polynomial.legendre.leggauss(64)
+    xs = (0.5 * (nodes + 1.0)).tolist()
+    return tuple(zip(xs, (0.5 * weights).tolist(), map(math.lgamma, xs)))
 
 
 def _hitting_integral(d: int) -> float:
     # (1/d!) int_0^1 Gamma(d + x) / Gamma(x) dx; the integrand extends
     # continuously to 0 at x = 0 since 1/Gamma(x) ~ x.
     lg_d1 = math.lgamma(d + 1.0)
-    vals = [
-        w * math.exp(math.lgamma(d + x) - math.lgamma(x) - lg_d1)
-        for x, w in zip(_GL_X, _GL_W)
-    ]
-    return math.fsum(vals)
+    return math.fsum(
+        w * math.exp(math.lgamma(d + x) - lg_x - lg_d1) for x, w, lg_x in _gauss_legendre()
+    )
 
 
 def hitting_probability(i: int, j: int, method: HittingMethod = HittingMethod.CONVOLUTION):
@@ -342,8 +346,8 @@ def hitting_asymptotic(j: int) -> float:
 
 def absorption_cdf(n: int, i: int, t: float) -> float:
     """P(block counting process from n reaches a state <= i by time t)."""
-    if t <= 0:
-        raise ValueError(f"time must be positive, got {t}")
+    if not t > 0:
+        raise ValueError(f"time t must be positive, got t = {t}")
     return _block_tail(n, i, math.exp(-t))
 
 
@@ -351,8 +355,24 @@ def gumbel_limit_cdf(i: int, x: float) -> float:
     """CDF of the minimum of i independent standard Gumbel variables."""
     if i < 1:
         raise ValueError(f"need i >= 1, got {i}")
-    F = math.exp(-math.exp(-x)) if x > -math.inf else 0.0
+    if _gumbel_underflows(x):
+        return 0.0
+    F = math.exp(-math.exp(-x))
     return 1.0 - (1.0 - F) ** i
+
+
+# F = exp(-exp(-x)) is exactly 0.0 for x <= -7 (exp(-exp(7)) = exp(-1096.6)),
+# and exp(-x) itself overflows below x = -709.8.  With y = exp(-x) >= e^7,
+# each term F^j e^{-kx} = exp(-j y + k log y) of the Edgeworth forms is below
+# exp(-1000) for k <= 12, so they are 0.0 there as well.
+_GUMBEL_ZERO_X = -7.0
+
+
+def _gumbel_underflows(x: float) -> bool:
+    """Whether the Gumbel CDF exp(-exp(-x)) is 0.0; ValueError for NaN x."""
+    if math.isnan(x):
+        raise ValueError(f"x must be a number, got x = {x}")
+    return x <= _GUMBEL_ZERO_X
 
 
 # ---------------------------------------------------------------------------
@@ -399,6 +419,7 @@ class EdgeworthCoeffs:
         return self.values[k]
 
 
+@functools.cache  # only orders 0..12 return, so at most 13 entries
 def edgeworth_c(K: int) -> EdgeworthCoeffs:
     """c_k from the Gumbel moments by the alternating composition sum.
 
@@ -434,6 +455,8 @@ def edgeworth_d(k: int, i: int, x: float) -> float:
     """
     if k < 0 or i < 1:
         raise ValueError(f"need k >= 0 and i >= 1, got k={k}, i={i}")
+    if _gumbel_underflows(x):
+        return 0.0
     F = math.exp(-math.exp(-x))
     return math.fsum(
         (F**j) * ((-1) ** (j - 1)) * math.comb(i, j) * (j**k)
@@ -448,6 +471,8 @@ def edgeworth_cdf(n: int, i: int, x: float, K: int) -> float:
     if i < 1:
         raise ValueError(f"need i >= 1, got {i}")
     c = edgeworth_c(K)
+    if _gumbel_underflows(x):
+        return 0.0
     ln = math.log(n)
     return math.fsum(
         c[k] * edgeworth_d(k, i, x) * math.exp(-k * x) / ln**k for k in range(K + 1)

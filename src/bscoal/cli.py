@@ -9,18 +9,20 @@ as "num/den" strings, reals as shortest round-trip decimals.  Exit codes:
 Every run is fully determined by its flags; simulation subcommands are
 byte-identical when repeated with the same --seed: replicate substreams
 are derived from (seed, index) alone.
+
+numpy is imported only by the subcommands that sample (limits, simulate,
+converge) and by hitting --method integral, whose quadrature nodes come
+from numpy; the closed-form subcommands start without it.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
-import math
 import sys
 from fractions import Fraction
-
-import numpy as np
 
 from .analytics import (
     HittingMethod,
@@ -31,26 +33,6 @@ from .analytics import (
     fixation_transition,
     gumbel_cumulant,
     hitting_probability,
-)
-from .limits import (
-    LogProcess,
-    log_cumulant,
-    mittag_leffler_cdf,
-    ml_moment,
-    neveu_cdf,
-    sample_mittag_leffler,
-    sample_neveu,
-)
-from .simulate import (
-    estimate_hitting,
-    ks_distance,
-    replicate_rng,
-    sample_absorption_times,
-    sample_block_marginal,
-    sample_fixation_marginal,
-    scaled_marginal_sample,
-    simulate_block,
-    simulate_fixation,
 )
 from .spectral import (
     GeneratorKind,
@@ -65,34 +47,35 @@ __all__ = ["main", "run"]
 
 
 def _fmt(v):
-    """JSON/CSV-safe scalar: Fractions become "num/den" strings."""
+    """JSON/CSV-safe scalar: Fractions become "num/den" strings and numpy
+    scalars the Python scalar they hold (without importing numpy)."""
+    if type(v) in (float, int, str, bool):
+        return v
     if isinstance(v, Fraction):
         return f"{v.numerator}/{v.denominator}"
-    if isinstance(v, (np.integer,)):
-        return int(v)
-    if isinstance(v, (np.floating,)):
-        return float(v)
+    if type(v).__module__ == "numpy":
+        return v.item()
     return v
 
 
 def _emit_record(fmt: str, record: dict) -> None:
-    record = {k: _fmt(v) for k, v in record.items()}
     if fmt == "json":
-        print(json.dumps(record))
+        print(json.dumps({k: _fmt(v) for k, v in record.items()}))
     else:
-        w = csv.writer(sys.stdout, lineterminator="\n")
-        w.writerow(record.keys())
-        w.writerow(record.values())
+        _emit_rows(fmt, list(record), [list(record.values())])
 
 
 def _emit_rows(fmt: str, header: list[str], rows: list[list], json_key: str = "rows") -> None:
     if fmt == "json":
         print(json.dumps({json_key: [[_fmt(v) for v in r] for r in rows], "header": header}))
     else:
-        w = csv.writer(sys.stdout, lineterminator="\n")
+        # one write: under python -u or PYTHONUNBUFFERED a writerow to
+        # stdout is a system call per row
+        buf = io.StringIO()
+        w = csv.writer(buf, lineterminator="\n")
         w.writerow(header)
-        for r in rows:
-            w.writerow([_fmt(v) for v in r])
+        w.writerows([_fmt(v) for v in r] for r in rows)
+        sys.stdout.write(buf.getvalue())
 
 
 # ---------------------------------------------------------------------------
@@ -176,12 +159,15 @@ def _cmd_edgeworth(args) -> int:
 
 
 def _cmd_limits(args) -> int:
+    from .limits import LogProcess, log_cumulant, ml_moment, sample_mittag_leffler, sample_neveu
+    from .simulate import replicate_rng
+
     tp = TimePoint.from_time(args.t)
     if args.method in ("sample-mittag-leffler", "sample-neveu"):
         rng = replicate_rng(args.seed)
         sampler = sample_mittag_leffler if args.method == "sample-mittag-leffler" else sample_neveu
-        values = np.asarray(sampler(tp, rng, size=args.reps), dtype=np.float64)
-        _emit_rows(args.format, ["value"], [[float(v)] for v in values], json_key="values")
+        values = sampler(tp, rng, size=args.reps).tolist()
+        _emit_rows(args.format, ["value"], [[v] for v in values], json_key="values")
         return 0
     if args.method == "moment":
         value = ml_moment(tp, args.x)
@@ -195,6 +181,16 @@ def _cmd_limits(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    from .simulate import (
+        estimate_hitting,
+        replicate_rng,
+        sample_absorption_times,
+        sample_block_marginal,
+        sample_fixation_marginal,
+        simulate_block,
+        simulate_fixation,
+    )
+
     rng = replicate_rng(args.seed)
     if args.method in ("block-path", "fixation-path"):
         if args.method == "block-path":
@@ -228,11 +224,14 @@ def _cmd_simulate(args) -> int:
         diagnostics: dict = {}
         values = sample_fixation_marginal(args.n, args.t, args.reps, rng, diagnostics)
         print(json.dumps(diagnostics), file=sys.stderr)
-    _emit_rows(args.format, ["value"], [[_fmt(v)] for v in values], json_key="values")
+    _emit_rows(args.format, ["value"], [[v] for v in values.tolist()], json_key="values")
     return 0
 
 
 def _cmd_converge(args) -> int:
+    from .limits import mittag_leffler_cdf, neveu_cdf
+    from .simulate import ks_distance, replicate_rng, scaled_marginal_sample
+
     try:
         grid = [int(v) for v in args.n.split(",")]
     except ValueError:

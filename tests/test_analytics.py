@@ -5,6 +5,7 @@ import sys
 import threading
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -229,6 +230,21 @@ class TestHitting:
         h = hitting_probability(1, j, HittingMethod.INTEGRAL)
         assert abs(h - hitting_asymptotic(j)) * math.log(j) ** 3 < 10
 
+    def test_integral_matches_per_node_lgamma_reference(self):
+        # the rule as numpy arrays, with lgamma(x) evaluated inside the sum
+        nodes, weights = np.polynomial.legendre.leggauss(64)
+        xs, ws = 0.5 * (nodes + 1.0), 0.5 * weights
+
+        def reference(d):
+            lg_d1 = math.lgamma(d + 1.0)
+            return math.fsum(
+                w * math.exp(math.lgamma(d + x) - math.lgamma(x) - lg_d1) for x, w in zip(xs, ws)
+            )
+
+        grid = sorted({0, *(round(10 ** (k / 16)) for k in range(97))})
+        assert grid[-1] == 10**6
+        assert [analytics._hitting_integral(d) for d in grid] == [reference(d) for d in grid]
+
     def test_asymptotic_domain(self):
         with pytest.raises(ValueError):
             hitting_asymptotic(1)
@@ -254,6 +270,8 @@ class TestAbsorption:
             absorption_cdf(5, 6, 1.0)
         with pytest.raises(ValueError):
             absorption_cdf(5, 1, 0.0)
+        with pytest.raises(ValueError, match="t = nan"):
+            absorption_cdf(5, 1, math.nan)
 
     def test_duality_tail_equals_absorption(self):
         # reaching a state <= i by time t is the same event as sitting at <= i
@@ -299,6 +317,13 @@ class TestAbsorption:
         # min of i Gumbels: 1 - (1 - F)^i
         F = math.exp(-math.exp(-0.3))
         assert gumbel_limit_cdf(3, 0.3) == pytest.approx(1 - (1 - F) ** 3)
+
+    def test_gumbel_limit_cdf_left_tail_and_nan(self):
+        # 1 - (1 - F)^i rounds to 0.0 already at x = -6, where F = 6e-176
+        for x in (-6.0, -7.0, -800.0, -math.inf):
+            assert gumbel_limit_cdf(1, x) == gumbel_limit_cdf(3, x) == 0.0
+        with pytest.raises(ValueError, match="x = nan"):
+            gumbel_limit_cdf(2, math.nan)
 
 
 class TestEdgeworth:
@@ -351,6 +376,35 @@ class TestEdgeworth:
             errs = [abs(edgeworth_cdf(n, 1, x, K) - exact) for K in (0, 1, 2)]
             assert errs[1] < errs[0]
             assert errs[2] < errs[1]
+
+    def test_left_tail_is_zero(self):
+        # past x = -709.8 exp(-x) overflows; F = exp(-exp(-x)) is 0.0 from -6.7 on
+        assert edgeworth_d(1, 2, -800.0) == 0.0
+        assert edgeworth_cdf(1000, 2, -120.0, 6) == 0.0
+        assert edgeworth_cdf(1000, 2, -710.0, 0) == 0.0
+        assert edgeworth_cdf(1000, 1, -math.inf, 12) == 0.0
+        # no jump where the branch takes over: the formula is already ~0 above it
+        for K in (0, 3, 12):
+            for x in (-6.9, -6.5, -6.0):
+                assert abs(edgeworth_cdf(1000, 3, x, K)) < 1e-150
+            assert edgeworth_d(K, 3, -6.9) == 0.0
+
+    def test_nan_x_raises(self):
+        for call in (
+            lambda: edgeworth_d(1, 2, math.nan),
+            lambda: edgeworth_cdf(1000, 2, math.nan, 3),
+        ):
+            with pytest.raises(ValueError, match="x = nan"):
+                call()
+
+    def test_c_cached_once_per_order(self):
+        orders = range(13)
+        first = [edgeworth_c(K) for K in orders]
+        assert all(edgeworth_c(K) is c for K, c in zip(orders, first))
+        for K in (-1, 13):
+            with pytest.raises(ValueError):
+                edgeworth_c(K)
+        assert edgeworth_c.cache_info().currsize == 13
 
     def test_domain(self):
         with pytest.raises(ValueError):

@@ -4,10 +4,16 @@ import csv
 import io
 import json
 import math
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from bscoal.cli import run
+from bscoal.analytics import TimePoint
+from bscoal.cli import _fmt, run
+from bscoal.limits import sample_mittag_leffler
+from bscoal.simulate import replicate_rng, simulate_block
+from bscoal.spectral import GeneratorKind, closed_form_decomposition
 
 
 def _capture(capsys, argv):
@@ -133,6 +139,68 @@ class TestSimulation:
         assert abs(data["value"] - 5 / 12) < 5 * data["std_error"]
 
 
+def _csv_one_row_at_a_time(header, rows) -> str:
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(header)
+    for r in rows:
+        w.writerow(r)
+    return buf.getvalue()
+
+
+class TestEmit:
+    def test_fmt_plain_scalars(self):
+        for v, want in [
+            (np.int64(7), 7),
+            (np.float64(0.1), 0.1),
+            (np.bool_(True), True),
+            (True, True),
+            (3, 3),
+            (2.5, 2.5),
+            ("x", "x"),
+        ]:
+            got = _fmt(v)
+            assert got == want and type(got) is type(want)
+        assert _fmt(Fraction(19087, 60480)) == "19087/60480"
+        assert _fmt(Fraction(3)) == "3/1"
+
+    def test_limits_csv_equals_row_by_row(self, capsys):
+        code, out = _capture(
+            capsys,
+            ["limits", "--method", "sample-mittag-leffler", "--t", "1", "--reps", "1000", "--seed", "3"],
+        )
+        values = sample_mittag_leffler(TimePoint.from_time(1.0), replicate_rng(3), size=1000)
+        assert code == 0
+        assert out == _csv_one_row_at_a_time(["value"], [[float(v)] for v in values])
+
+    def test_block_path_csv_equals_row_by_row(self, capsys):
+        code, out = _capture(
+            capsys, ["simulate", "--method", "block-path", "--n", "30", "--t", "2.0", "--seed", "9"]
+        )
+        path = simulate_block(30, 2.0, replicate_rng(9))
+        times = [0.0, *map(float, path.jump_times)]
+        assert code == 0
+        assert out == _csv_one_row_at_a_time(
+            ["time", "state"], [[t, int(s)] for t, s in zip(times, path.states)]
+        )
+
+    def test_spectral_csv_equals_row_by_row(self, capsys):
+        code, out = _capture(capsys, ["spectral", "--kind", "bs-block", "--n", "5", "--format", "csv"])
+        dec = closed_form_decomposition(GeneratorKind.BS_BLOCK, 5)
+
+        def frac(v):
+            v = Fraction(v)
+            return f"{v.numerator}/{v.denominator}"
+
+        rows = [
+            [i, j, frac(dec.R.entry(i, j)), frac(dec.L.entry(i, j)), frac(dec.D[j - 1])]
+            for i in range(1, 6)
+            for j in range(1, 6)
+        ]
+        assert code == 0
+        assert out == _csv_one_row_at_a_time(["i", "j", "R", "L", "D_j"], rows)
+
+
 class TestExitCodes:
     def test_unknown_subcommand_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -150,6 +218,26 @@ class TestExitCodes:
 
     def test_hitting_past_renewal_domain_exit_two(self, capsys):
         assert run(["hitting", "--i", "1", "--j", "1002"]) == 2
+
+    def test_edgeworth_left_tail_is_zero(self, capsys):
+        code, out = _capture(
+            capsys, ["edgeworth", "--n", "1000", "--i", "2", "--x", "-800", "--format", "json"]
+        )
+        assert code == 0
+        assert json.loads(out)["value"] == 0.0
+
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (["edgeworth", "--n", "1000", "--i", "2", "--x", "nan"], "x = nan"),
+            (["absorption", "--n", "10", "--i", "2", "--t", "nan"], "t = nan"),
+        ],
+    )
+    def test_nan_argument_exit_two(self, capsys, argv, named):
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert named in captured.err
 
     def test_simulate_nan_time_exit_two(self, capsys):
         assert run(["simulate", "--method", "block-marginal", "--n", "10", "--t", "nan"]) == 2
