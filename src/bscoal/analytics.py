@@ -4,9 +4,10 @@ Everything here is a deterministic function of the inputs.  Quantities with
 an exact rational representation (hitting probabilities through the
 convolution and Stirling routes) are returned as ``Fraction``; the rest are
 double precision floats evaluated through log-gamma.  The exact kernels
-(the renewal convolution and the Stirling transition sum) accumulate plain
-integers over one known denominator and divide once at the end, so a float
-result is the correctly rounded value of the exact rational.
+(the renewal convolution, the Stirling hitting sums and the Stirling
+transition sum) accumulate plain integers over one known denominator and
+divide once at the end, so a float result is the correctly rounded value
+of the exact rational.
 
 Conventions: states are 1-based positive integers; ``alpha`` always means
 ``exp(-t)`` for the time point under consideration.
@@ -282,42 +283,33 @@ def _hitting_integral(d: int) -> float:
 def hitting_probability(i: int, j: int, method: HittingMethod = HittingMethod.CONVOLUTION):
     """Probability the fixation line started at i ever occupies state j.
 
-    Depends on (i, j) only through j - i.  The convolution and both
-    Stirling methods return exact ``Fraction``s; the integral returns a
-    float.  The convolution raises ValueError for j - i > 1000 and the
-    Stirling methods past the Stirling table bound; the integral has none.
+    Depends on (i, j) only through j - i.  ``method`` is a HittingMethod or
+    its value string.  The convolution and both Stirling methods return
+    exact ``Fraction``s; the integral returns a float.  The convolution
+    raises ValueError for j - i > 1000 and the Stirling methods past the
+    Stirling table bound; the integral has none.
     """
+    method = HittingMethod(method)
     if i < 1 or j < 1:
         raise ValueError(f"states must be positive, got ({i}, {j})")
     if j < i:
-        return Fraction(0) if method in (
-            HittingMethod.CONVOLUTION,
-            HittingMethod.STIRLING_DOUBLE,
-            HittingMethod.STIRLING_SHIFT,
-        ) else 0.0
+        return 0.0 if method is HittingMethod.INTEGRAL else Fraction(0)
     d = j - i
     if method is HittingMethod.CONVOLUTION:
         return _RENEWAL.upto(d)[d]
     if method is HittingMethod.STIRLING_DOUBLE:
-        acc = sum(
-            (
-                Fraction(stirling_first(j, k) * stirling_second(k, i), k)
-                for k in range(i, j + 1)
-            ),
-            Fraction(0),
-        )
+        # (-1)^(i+j) i!/(j-1)! sum_k s(j,k) S(k,i) / k, over m = lcm(i..j)
+        m = math.lcm(*range(i, j + 1))
+        acc = sum(stirling_first(j, k) * stirling_second(k, i) * (m // k) for k in range(i, j + 1))
         sign = -1 if (i + j) % 2 else 1
-        return sign * Fraction(factorial(i), factorial(j - 1)) * acc
+        return Fraction(sign * factorial(i) * acc, factorial(j - 1) * m)
     if method is HittingMethod.STIRLING_SHIFT:
-        acc = sum(
-            (Fraction(stirling_first(d + 1, k), k) for k in range(1, d + 2)),
-            Fraction(0),
-        )
+        # (-1)^d / d! sum_k s(d+1,k) / k, over m = lcm(1..d+1)
+        m = math.lcm(*range(1, d + 2))
+        acc = sum(stirling_first(d + 1, k) * (m // k) for k in range(1, d + 2))
         sign = -1 if d % 2 else 1
-        return sign * acc / factorial(d)
-    if method is HittingMethod.INTEGRAL:
-        return _hitting_integral(d)
-    raise ValueError(f"unknown method {method!r}")
+        return Fraction(sign * acc, factorial(d) * m)
+    return _hitting_integral(d)
 
 
 def hitting_gf_coefficients(i: int, J: int) -> list[float]:
@@ -473,6 +465,8 @@ def edgeworth_cdf(n: int, i: int, x: float, K: int) -> float:
     c = edgeworth_c(K)
     if _gumbel_underflows(x):
         return 0.0
+    if x == math.inf:
+        return 1.0  # d_0 = 1 and every k >= 1 term carries e^(-kx)
     ln = math.log(n)
     return math.fsum(
         c[k] * edgeworth_d(k, i, x) * math.exp(-k * x) / ln**k for k in range(K + 1)

@@ -134,11 +134,10 @@ def _cmd_transition(args) -> int:
 
 
 def _cmd_hitting(args) -> int:
-    method = HittingMethod(args.method)
-    value = hitting_probability(args.i, args.j, method)
+    value = hitting_probability(args.i, args.j, args.method)
     _emit_record(
         args.format,
-        {"i": args.i, "j": args.j, "method": method.value, "value": value},
+        {"i": args.i, "j": args.j, "method": args.method, "value": value},
     )
     return 0
 

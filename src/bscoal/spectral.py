@@ -8,7 +8,9 @@ truncation size.  They are checked in integer-scaled exact arithmetic:
 each row of R, each column of L and the vector D are multiplied by the
 lcm of their denominators, and the products run over the triangle only.
 R and L come from closed forms or from one eigenvector recursion that
-serves both orientations (L from the recursion on the transpose).
+serves both orientations (L from the recursion on the transpose).  The
+recursion also runs on integers: it holds each column as integers over one
+denominator and builds one ``Fraction`` per entry.
 
 Covered generators:
 
@@ -23,7 +25,6 @@ Covered generators:
 from __future__ import annotations
 
 import enum
-import json
 import math
 import operator
 from dataclasses import dataclass
@@ -99,16 +100,6 @@ class TriangularMatrix:
                 [f"{v.numerator}/{v.denominator}" for v in row] for row in self.rows
             ],
         }
-
-    @classmethod
-    def from_jsonable(cls, data: dict) -> "TriangularMatrix":
-        rows = tuple(
-            tuple(Fraction(s) for s in row) for row in data["entries"]
-        )
-        return cls(data["n"], data["orientation"], rows)
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_jsonable())
 
 
 @dataclass(frozen=True)
@@ -235,18 +226,29 @@ def _right_eigenvectors(q: TriangularMatrix, d: Sequence[Fraction]) -> Triangula
 
     r_jj = 1 and r_ij = sum_k q_ik r_kj / (d_j - d_i), with k running from
     j towards i (i excluded) and i stepping away from j: up the column
-    for an upper triangular q, down it for a lower triangular one.  Zero
-    rates are skipped, so a bidiagonal q costs O(n^2) terms.
+    for an upper triangular q, down it for a lower triangular one.  In
+    integers: row i of q is G_i / c_i and d is D / delta, and column j is
+    held as integers N over one denominator W.  Then r_ij is
+    delta sum_k G_ik N_k over W c_i (D_j - D_i), so W and every stored
+    N_k take the factor c_i (D_j - D_i).  Zero rates are skipped, so a
+    bidiagonal q costs O(n^2) terms.
     """
-    n, g = q.n, q.rows
+    n = q.n
+    G, c = _integer_scaled(q.rows)
+    (D,), (delta,) = _integer_scaled([d])
     step = -1 if q.orientation == "upper" else 1
     stop = -1 if step < 0 else n
     R = [[Fraction(0)] * n for _ in range(n)]
     for j in range(n):
-        R[j][j] = Fraction(1)
+        N, W = [1], 1  # N[m] is the numerator of r_(j + m step, j)
         for i in range(j + step, stop, step):
-            acc = sum((g[i][k] * R[k][j] for k in range(j, i, step) if g[i][k]), Fraction(0))
-            R[i][j] = acc / (d[j] - d[i])
+            acc = sum(g * v for g, v in zip(G[i][j:i:step], N) if g)
+            f = c[i] * (D[j] - D[i])
+            N = [v * f for v in N]
+            N.append(delta * acc)
+            W *= f
+        for m, v in enumerate(N):
+            R[j + m * step][j] = Fraction(v, W)
     return TriangularMatrix(n, q.orientation, tuple(map(tuple, R)))
 
 

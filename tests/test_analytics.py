@@ -179,6 +179,19 @@ class TestHitting:
         assert hitting_probability(3, 3) == 1
         assert hitting_probability(5, 2) == 0
 
+    def test_method_by_value_string(self):
+        # the value string acts as the enum member, whichever branch it reaches
+        for method in HittingMethod:
+            for i, j in ((1, 7), (4, 4), (5, 3)):
+                by_enum = hitting_probability(i, j, method)
+                by_value = hitting_probability(i, j, method.value)
+                assert by_value == by_enum and type(by_value) is type(by_enum)
+            below = Fraction if method is not HittingMethod.INTEGRAL else float
+            assert type(hitting_probability(5, 3, method.value)) is below
+        for i, j in ((1, 3), (5, 3)):
+            with pytest.raises(ValueError):
+                hitting_probability(i, j, "renewal")
+
     def test_renewal_route_domain(self):
         # the convolution and gf routes stop at j - i = 1000; the integral does not
         with pytest.raises(ValueError):
@@ -383,6 +396,9 @@ class TestEdgeworth:
         assert edgeworth_cdf(1000, 2, -120.0, 6) == 0.0
         assert edgeworth_cdf(1000, 2, -710.0, 0) == 0.0
         assert edgeworth_cdf(1000, 1, -math.inf, 12) == 0.0
+        # the right tail: the k = 0 term alone would form exp(-0 * inf) = nan
+        for K in (0, 3, 12):
+            assert edgeworth_cdf(1000, 2, math.inf, K) == 1.0
         # no jump where the branch takes over: the formula is already ~0 above it
         for K in (0, 3, 12):
             for x in (-6.9, -6.5, -6.0):

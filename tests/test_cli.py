@@ -92,11 +92,12 @@ class TestSpectral:
         assert data["L"]["entries"][0][0] == "1/1"
 
     def test_recursive_matches_closed(self, capsys):
-        _, closed = _capture(capsys, ["spectral", "--kind", "kingman-fixation", "--n", "6"])
-        _, rec = _capture(
-            capsys, ["spectral", "--kind", "kingman-fixation", "--n", "6", "--method", "recursive"]
-        )
-        assert closed == rec
+        # the dense rows of the two BS kinds exercise the recursion's scaling
+        for kind in ("bs-block", "bs-fixation", "kingman-fixation"):
+            args = ["spectral", "--kind", kind, "--n", "12"]
+            _, closed = _capture(capsys, args)
+            _, rec = _capture(capsys, args + ["--method", "recursive"])
+            assert closed == rec, kind
 
 
 class TestSimulation:

@@ -1,18 +1,26 @@
 """Fraction reference implementations of the integer-scaled exact kernels.
 
-The library evaluates the Stirling transition sum, the spectral identities
-R L = I and R diag(D) L = generator, and the hitting generating function
-with plain integers over one known denominator.  The direct ``Fraction``
-computations below are the references: exact results must be equal and
-floats bit-identical.
+The library evaluates the Stirling transition sum, the Stirling hitting
+sums, the eigenvector recursion, the spectral identities R L = I and
+R diag(D) L = generator, and the hitting generating function with plain
+integers over one known denominator.  The direct ``Fraction`` computations
+below are the references: exact results must be equal and floats
+bit-identical.  A guard test makes ``Fraction`` arithmetic raise and runs
+the exact kernels under it, so a kernel that falls back to it fails.
 """
 
-import json
 from fractions import Fraction
 
 import pytest
 
-from bscoal.analytics import TimePoint, fixation_transition, hitting_gf_coefficients
+from bscoal import analytics
+from bscoal.analytics import (
+    HittingMethod,
+    TimePoint,
+    fixation_transition,
+    hitting_gf_coefficients,
+    hitting_probability,
+)
 from bscoal.combinatorics import factorial, stirling_first, stirling_second
 from bscoal.spectral import (
     GeneratorKind,
@@ -37,6 +45,37 @@ def transition_stirling_reference(i: int, j: int, alpha: Fraction) -> Fraction:
         acc += stirling_second(k, i) * alpha**k * stirling_first(j, k)
     sign = -1 if (i + j) % 2 else 1
     return sign * Fraction(factorial(i), factorial(j)) * acc
+
+
+def hitting_shift_reference(d: int) -> Fraction:
+    # (-1)^d / d! sum_{k=1..d+1} s(d+1,k) / k
+    acc = sum((Fraction(stirling_first(d + 1, k), k) for k in range(1, d + 2)), Fraction(0))
+    sign = -1 if d % 2 else 1
+    return sign * acc / factorial(d)
+
+
+def hitting_double_reference(i: int, j: int) -> Fraction:
+    # (-1)^{i+j} i!/(j-1)! sum_{k=i..j} s(j,k) S(k,i) / k
+    acc = sum(
+        (Fraction(stirling_first(j, k) * stirling_second(k, i), k) for k in range(i, j + 1)),
+        Fraction(0),
+    )
+    sign = -1 if (i + j) % 2 else 1
+    return sign * Fraction(factorial(i), factorial(j - 1)) * acc
+
+
+def right_eigenvectors_reference(q: TriangularMatrix, d) -> TriangularMatrix:
+    # r_jj = 1, r_ij = sum_k q_ik r_kj / (d_j - d_i), k from j towards i
+    n, g = q.n, q.rows
+    step = -1 if q.orientation == "upper" else 1
+    stop = -1 if step < 0 else n
+    R = [[Fraction(0)] * n for _ in range(n)]
+    for j in range(n):
+        R[j][j] = Fraction(1)
+        for i in range(j + step, stop, step):
+            acc = sum((g[i][k] * R[k][j] for k in range(j, i, step)), Fraction(0))
+            R[i][j] = acc / (d[j] - d[i])
+    return TriangularMatrix(n, q.orientation, tuple(map(tuple, R)))
 
 
 def matmul(a: tuple, b: tuple) -> tuple:
@@ -104,24 +143,65 @@ def test_transition_row_one_matches_reference():
         assert fixation_transition(1, j, tp) == float(transition_stirling_reference(1, j, alpha)), j
 
 
-def _decomposition(kind: GeneratorKind, n: int, source: str) -> SpectralDecomposition:
-    if source == "recursive":
-        return recursive_decomposition(build_generator(kind, n), eigenvalues(kind, n), kind)
-    dec = closed_form_decomposition(kind, n)
-    if source == "json":
-        R, L = (TriangularMatrix.from_jsonable(json.loads(m.to_json())) for m in (dec.R, dec.L))
-        dec = SpectralDecomposition(kind, n, R, dec.D, L)
-    return dec
-
-
 @pytest.mark.parametrize("kind", list(GeneratorKind))
 @pytest.mark.parametrize("n", [10, 30])
-@pytest.mark.parametrize("source", ["closed", "recursive", "json"])
+@pytest.mark.parametrize("source", ["closed", "recursive"])
 def test_verify_matches_reference(kind, n, source):
-    dec = _decomposition(kind, n, source)
+    if source == "recursive":
+        dec = recursive_decomposition(build_generator(kind, n), eigenvalues(kind, n), kind)
+    else:
+        dec = closed_form_decomposition(kind, n)
     report = verify_decomposition(dec)
     assert (report.rl_is_identity, report.rdl_is_generator) == verify_reference(dec)
     assert report.ok
+
+
+def mixed_generator(n: int, orientation: str, diagonal) -> TriangularMatrix:
+    # Rates with denominators 1..6 and a zero wherever 5 divides 7i + 3j:
+    # no closed form covers these triangles.
+    upper = orientation == "upper"
+
+    def entry(i: int, j: int) -> Fraction:
+        if i == j:
+            return diagonal(i)
+        if j > i if upper else j < i:
+            return Fraction((7 * i + 3 * j) % 5, (2 * i + j) % 6 + 1)
+        return Fraction(0)
+
+    rows = tuple(tuple(entry(i, j) for j in range(1, n + 1)) for i in range(1, n + 1))
+    return TriangularMatrix(n, orientation, rows)
+
+
+DIAGONALS = {
+    "thirds": lambda i: Fraction(-i, 3),
+    "alternating": lambda i: Fraction((-1) ** i * i, i % 3 + 2),  # distinct for i <= 9
+}
+
+
+@pytest.mark.parametrize("orientation", ["upper", "lower"])
+@pytest.mark.parametrize("diagonal", DIAGONALS)
+def test_recursion_matches_reference_off_closed_forms(orientation, diagonal):
+    for n in (1, 2, 9):
+        gen = mixed_generator(n, orientation, DIAGONALS[diagonal])
+        d = tuple(gen.entry(i, i) for i in range(1, n + 1))
+        dec = recursive_decomposition(gen, d, GeneratorKind.BS_FIXATION)
+        assert dec.R.rows == right_eigenvectors_reference(gen, d).rows, n
+        L = right_eigenvectors_reference(gen.transpose(), d).transpose()
+        assert dec.L.rows == L.rows, n
+        assert is_identity(matmul(dec.R.rows, dec.L.rows)), n
+        assert matmul(scale_columns(dec.R.rows, d), dec.L.rows) == gen.rows, n
+
+
+def test_stirling_hitting_sums_match_reference():
+    for d in range(121):
+        assert hitting_probability(2, 2 + d, HittingMethod.STIRLING_SHIFT) == (
+            hitting_shift_reference(d)
+        ), d
+    for i in (1, 3):
+        for d in range(61):
+            assert hitting_probability(i, i + d, HittingMethod.STIRLING_DOUBLE) == (
+                hitting_double_reference(i, i + d)
+            ), (i, d)
 
 
 @pytest.mark.parametrize("i", [1, 3, 7])
@@ -134,3 +214,45 @@ def test_reference_matmul_by_identity():
     ident = tuple(tuple(Fraction(int(i == j)) for j in range(6)) for i in range(6))
     assert matmul(gen, ident) == gen
     assert is_identity(ident)
+
+
+# ---------------------------------------------------------------------------
+# structural guard: the exact kernels do no Fraction arithmetic
+# ---------------------------------------------------------------------------
+
+class FractionArithmetic(Exception):
+    pass
+
+
+FRACTION_ARITHMETIC = (
+    "__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+    "__truediv__", "__rtruediv__", "__neg__", "__pow__",
+)
+
+
+def test_exact_kernels_do_no_fraction_arithmetic(monkeypatch):
+    def forbidden(*args):
+        raise FractionArithmetic
+
+    for name in FRACTION_ARITHMETIC:
+        monkeypatch.setattr(Fraction, name, forbidden)
+    with pytest.raises(FractionArithmetic):
+        Fraction(1, 2) * 2
+    n = 12
+    for kind in GeneratorKind:
+        gen = build_generator(kind, n)
+        for dec in (
+            closed_form_decomposition(kind, n),
+            recursive_decomposition(gen, eigenvalues(kind, n), kind),
+        ):
+            assert verify_decomposition(dec).ok, kind
+    for method in (
+        HittingMethod.CONVOLUTION,
+        HittingMethod.STIRLING_DOUBLE,
+        HittingMethod.STIRLING_SHIFT,
+    ):
+        for i, j in ((3, 3), (3, 40), (5, 2)):
+            hitting_probability(i, j, method)
+    analytics._RenewalMasses().upto(60)  # a cold table, so growth runs here
+    hitting_gf_coefficients(1, 60)
+    fixation_transition(2, 30, TimePoint.from_time(0.7))

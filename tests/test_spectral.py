@@ -1,6 +1,5 @@
 """Triangular spectral decompositions: closed forms, recursions, exact products."""
 
-import json
 from dataclasses import replace
 from fractions import Fraction
 
@@ -106,14 +105,6 @@ def test_eigenvalue_mismatch_rejected():
     wrong = tuple(Fraction(-i - 7) for i in range(5))
     with pytest.raises(ValueError):
         recursive_decomposition(gen, wrong, GeneratorKind.BS_FIXATION)
-
-
-def test_json_round_trip():
-    dec = closed_form_decomposition(GeneratorKind.BS_BLOCK, 6)
-    blob = dec.R.to_json()
-    back = TriangularMatrix.from_jsonable(json.loads(blob))
-    assert back.rows == dec.R.rows
-    assert back.orientation == dec.R.orientation
 
 
 def test_transpose():
