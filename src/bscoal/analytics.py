@@ -28,7 +28,6 @@ from .combinatorics import (
     ZETA,
     factorial,
     general_binomial,
-    signed_log_gamma,
     stirling_first,
     stirling_second,
 )
@@ -179,15 +178,26 @@ def _block_tail(n: int, i: int, alpha: float) -> float:
         raise ValueError(f"need 1 <= i <= n, got i={i}, n={n}")
     if i == n:
         return 1.0
-    lg_n = math.lgamma(n)
+    lgamma, exp, floor = math.lgamma, math.exp, math.floor
+    lg_n = lgamma(n)
     terms = []
+    c = -1  # (-1)^(j-1) C(i, j), here for j = 0
     for j in range(1, i + 1):
-        s_den, l_den = signed_log_gamma(1.0 - j * alpha)
-        if s_den == 0:
-            continue  # 1/Gamma vanishes at nonpositive integers
-        mag = math.exp(math.lgamma(n - j * alpha) - lg_n - l_den)
-        terms.append((-1) ** (j - 1) * s_den * math.comb(i, j) * mag)
+        c = -c * (i - j + 1) // j
+        ja = j * alpha
+        x = 1.0 - ja
+        if x > 0.0:
+            s = c
+        else:
+            # Gamma alternates sign on (-m-1, -m); 1/Gamma vanishes at its poles
+            fl = floor(x)
+            if x == fl:
+                continue
+            s = c if fl % 2 == 0 else -c
+        terms.append(s * exp(lgamma(n - ja) - lg_n - lgamma(x)))
     val = math.fsum(terms)
+    if 0.0 <= val <= 1.0:
+        return val
     if val < -1e-9 or val > 1.0 + 1e-9:
         raise NumericInstabilityError(f"block tail {val} outside [0, 1]")
     return min(max(val, 0.0), 1.0)
@@ -274,10 +284,9 @@ def _gauss_legendre() -> tuple[tuple[float, float, float], ...]:
 def _hitting_integral(d: int) -> float:
     # (1/d!) int_0^1 Gamma(d + x) / Gamma(x) dx; the integrand extends
     # continuously to 0 at x = 0 since 1/Gamma(x) ~ x.
-    lg_d1 = math.lgamma(d + 1.0)
-    return math.fsum(
-        w * math.exp(math.lgamma(d + x) - lg_x - lg_d1) for x, w, lg_x in _gauss_legendre()
-    )
+    lgamma, exp = math.lgamma, math.exp
+    lg_d1 = lgamma(d + 1.0)
+    return math.fsum([w * exp(lgamma(d + x) - lg_x - lg_d1) for x, w, lg_x in _gauss_legendre()])
 
 
 def hitting_probability(i: int, j: int, method: HittingMethod = HittingMethod.CONVOLUTION):
@@ -440,6 +449,21 @@ def edgeworth_c(K: int) -> EdgeworthCoeffs:
     return EdgeworthCoeffs(order=K, values=tuple(c))
 
 
+def _gumbel_min_terms(i: int, x: float) -> list[float]:
+    """F^j (-1)^(j-1) C(i, j) for j = 1..i, F the Gumbel CDF at x.
+
+    d_k(x) is the sum of these terms times j^k; for k = 0 it is the
+    Gumbel-min CDF 1 - (1 - F)^i.
+    """
+    F = math.exp(-math.exp(-x))
+    terms = []
+    c = -1  # (-1)^(j-1) C(i, j), here for j = 0
+    for j in range(1, i + 1):
+        c = -c * (i - j + 1) // j
+        terms.append(F**j * c)
+    return terms
+
+
 def edgeworth_d(k: int, i: int, x: float) -> float:
     """Coefficient functions d_{k i}(x) = (e^x d/dx)^k applied to the Gumbel-min CDF.
 
@@ -449,11 +473,7 @@ def edgeworth_d(k: int, i: int, x: float) -> float:
         raise ValueError(f"need k >= 0 and i >= 1, got k={k}, i={i}")
     if _gumbel_underflows(x):
         return 0.0
-    F = math.exp(-math.exp(-x))
-    return math.fsum(
-        (F**j) * ((-1) ** (j - 1)) * math.comb(i, j) * (j**k)
-        for j in range(1, i + 1)
-    )
+    return math.fsum([t * j**k for j, t in enumerate(_gumbel_min_terms(i, x), 1)])
 
 
 def edgeworth_cdf(n: int, i: int, x: float, K: int) -> float:
@@ -462,12 +482,14 @@ def edgeworth_cdf(n: int, i: int, x: float, K: int) -> float:
         raise ValueError(f"need n >= 3 so that log log n is meaningful, got {n}")
     if i < 1:
         raise ValueError(f"need i >= 1, got {i}")
-    c = edgeworth_c(K)
+    c = edgeworth_c(K).values
     if _gumbel_underflows(x):
         return 0.0
     if x == math.inf:
         return 1.0  # d_0 = 1 and every k >= 1 term carries e^(-kx)
     ln = math.log(n)
-    return math.fsum(
-        c[k] * edgeworth_d(k, i, x) * math.exp(-k * x) / ln**k for k in range(K + 1)
+    terms = list(enumerate(_gumbel_min_terms(i, x), 1))
+    fsum, exp = math.fsum, math.exp
+    return fsum(
+        [c[k] * fsum([t * j**k for j, t in terms]) * exp(-k * x) / ln**k for k in range(K + 1)]
     )

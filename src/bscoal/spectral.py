@@ -229,9 +229,10 @@ def _right_eigenvectors(q: TriangularMatrix, d: Sequence[Fraction]) -> Triangula
     for an upper triangular q, down it for a lower triangular one.  In
     integers: row i of q is G_i / c_i and d is D / delta, and column j is
     held as integers N over one denominator W.  Then r_ij is
-    delta sum_k G_ik N_k over W c_i (D_j - D_i), so W and every stored
-    N_k take the factor c_i (D_j - D_i).  Zero rates are skipped, so a
-    bidiagonal q costs O(n^2) terms.
+    delta sum_k G_ik N_k over W c_i (D_j - D_i); dividing that numerator
+    and f = c_i (D_j - D_i) by their gcd, W and every stored N_k take the
+    reduced factor f.  Zero rates are skipped, so a bidiagonal q costs
+    O(n^2) terms.
     """
     n = q.n
     G, c = _integer_scaled(q.rows)
@@ -243,9 +244,11 @@ def _right_eigenvectors(q: TriangularMatrix, d: Sequence[Fraction]) -> Triangula
         N, W = [1], 1  # N[m] is the numerator of r_(j + m step, j)
         for i in range(j + step, stop, step):
             acc = sum(g * v for g, v in zip(G[i][j:i:step], N) if g)
-            f = c[i] * (D[j] - D[i])
+            num, f = delta * acc, c[i] * (D[j] - D[i])
+            h = math.gcd(num, f)
+            f //= h
             N = [v * f for v in N]
-            N.append(delta * acc)
+            N.append(num // h)
             W *= f
         for m, v in enumerate(N):
             R[j + m * step][j] = Fraction(v, W)

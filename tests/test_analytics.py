@@ -254,7 +254,7 @@ class TestHitting:
                 w * math.exp(math.lgamma(d + x) - math.lgamma(x) - lg_d1) for x, w in zip(xs, ws)
             )
 
-        grid = sorted({0, *(round(10 ** (k / 16)) for k in range(97))})
+        grid = sorted({*range(3001), *(round(10 ** (k / 16)) for k in range(97))})
         assert grid[-1] == 10**6
         assert [analytics._hitting_integral(d) for d in grid] == [reference(d) for d in grid]
 

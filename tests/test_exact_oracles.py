@@ -1,4 +1,5 @@
-"""Fraction reference implementations of the integer-scaled exact kernels.
+"""Reference implementations of the integer-scaled exact kernels and of the
+lean float kernels.
 
 The library evaluates the Stirling transition sum, the Stirling hitting
 sums, the eigenvector recursion, the spectral identities R L = I and
@@ -7,21 +8,35 @@ integers over one known denominator.  The direct ``Fraction`` computations
 below are the references: exact results must be equal and floats
 bit-identical.  A guard test makes ``Fraction`` arithmetic raise and runs
 the exact kernels under it, so a kernel that falls back to it fails.
+
+The block survival sum and the Edgeworth point do their float arithmetic
+in one pass, with no helper call per term.  Their references below are
+the same sums written with ``signed_log_gamma``, ``math.comb`` and
+``edgeworth_d`` per term: every float must be bit-identical and every
+raise of the same type, and a second guard test makes those helpers raise
+under the kernels.  (The hitting quadrature has its per-node reference in
+``test_analytics.py``.)
 """
 
+import math
 from fractions import Fraction
 
 import pytest
 
-from bscoal import analytics
+from bscoal import analytics, combinatorics
 from bscoal.analytics import (
     HittingMethod,
+    NumericInstabilityError,
     TimePoint,
+    absorption_cdf,
+    block_tail_via_duality,
+    edgeworth_cdf,
+    edgeworth_d,
     fixation_transition,
     hitting_gf_coefficients,
     hitting_probability,
 )
-from bscoal.combinatorics import factorial, stirling_first, stirling_second
+from bscoal.combinatorics import factorial, signed_log_gamma, stirling_first, stirling_second
 from bscoal.spectral import (
     GeneratorKind,
     SpectralDecomposition,
@@ -121,9 +136,107 @@ def gf_reference(i: int, J: int) -> list[float]:
     return out
 
 
+def block_tail_reference(n: int, i: int, alpha: float) -> float:
+    # sum_{j=1..i} (-1)^{j-1} C(i,j) Gamma(n - j a) / (Gamma(n) Gamma(1 - j a))
+    if not (1 <= i <= n):
+        raise ValueError(f"need 1 <= i <= n, got i={i}, n={n}")
+    if i == n:
+        return 1.0
+    lg_n = math.lgamma(n)
+    terms = []
+    for j in range(1, i + 1):
+        s_den, l_den = signed_log_gamma(1.0 - j * alpha)
+        if s_den == 0:
+            continue  # 1/Gamma vanishes at nonpositive integers
+        mag = math.exp(math.lgamma(n - j * alpha) - lg_n - l_den)
+        terms.append((-1) ** (j - 1) * s_den * math.comb(i, j) * mag)
+    val = math.fsum(terms)
+    if val < -1e-9 or val > 1.0 + 1e-9:
+        raise NumericInstabilityError(f"block tail {val} outside [0, 1]")
+    return min(max(val, 0.0), 1.0)
+
+
+def edgeworth_d_reference(k: int, i: int, x: float) -> float:
+    # sum_{j=1..i} F^j (-1)^{j-1} C(i,j) j^k with F the Gumbel CDF at x
+    if k < 0 or i < 1:
+        raise ValueError(f"need k >= 0 and i >= 1, got k={k}, i={i}")
+    if math.isnan(x):
+        raise ValueError(f"x must be a number, got x = {x}")
+    if x <= -7.0:
+        return 0.0
+    F = math.exp(-math.exp(-x))
+    return math.fsum(
+        (F**j) * ((-1) ** (j - 1)) * math.comb(i, j) * (j**k) for j in range(1, i + 1)
+    )
+
+
+def edgeworth_cdf_reference(n: int, i: int, x: float, K: int) -> float:
+    # sum_{k=0..K} c_k d_k(x) e^{-kx} / log^k n
+    if n < 3 or i < 1:
+        raise ValueError(f"need n >= 3 and i >= 1, got n={n}, i={i}")
+    c = analytics.edgeworth_c(K)
+    if math.isnan(x):
+        raise ValueError(f"x must be a number, got x = {x}")
+    if x <= -7.0:
+        return 0.0
+    if x == math.inf:
+        return 1.0
+    ln = math.log(n)
+    return math.fsum(
+        c[k] * edgeworth_d_reference(k, i, x) * math.exp(-k * x) / ln**k for k in range(K + 1)
+    )
+
+
+def outcome(fn, *args) -> str:
+    """The float's hex form, or the type of the exception raised."""
+    try:
+        return fn(*args).hex()
+    except Exception as exc:  # the type is what gets compared
+        return type(exc).__name__
+
+
 # ---------------------------------------------------------------------------
 # the library against the references
 # ---------------------------------------------------------------------------
+
+TAIL_NS = (1, 2, 3, 5, 10, 30, 100, 10**3, 10**4, 10**6, 10**9)
+TAIL_ALPHAS = (1.0, 0.5, 0.25, 0.2, 0.1, math.exp(-1), math.exp(-3), math.exp(-0.01), 1e-300, 0.0)
+
+
+@pytest.mark.parametrize("n", TAIL_NS)
+def test_block_tail_bit_identical_to_reference(n):
+    # i = n - 1, n, n + 1 reach the i == n shortcut and both ValueErrors;
+    # alpha = 1 and 0.5 put poles of Gamma(1 - j a) among the terms.
+    i_values = sorted({min(i, 200) for i in (1, 2, 3, 5, 10, 29, 50, 100, n - 1, n, n + 1)})
+    for i in i_values:
+        for alpha in TAIL_ALPHAS:
+            want = outcome(block_tail_reference, n, i, alpha)
+            assert outcome(analytics._block_tail, n, i, alpha) == want, (n, i, alpha)
+
+
+def test_block_tail_grid_reaches_every_branch():
+    outcomes = {
+        outcome(block_tail_reference, n, min(i, 200), a)
+        for n in TAIL_NS
+        for i in (1, 29, 100, n - 1, n + 1)
+        for a in TAIL_ALPHAS
+    }
+    assert {"ValueError", "NumericInstabilityError", (1.0).hex(), (0.0).hex()} <= outcomes
+
+
+EDGEWORTH_X = (-800.0, -8.0, -7.0, -6.99, -3.0, -1.0, -0.05, 0.0, 0.5, 2.0, 10.0, 40.0, 800.0, math.inf, math.nan)
+
+
+@pytest.mark.parametrize("i", [1, 2, 3, 5, 10, 29, 50])
+def test_edgeworth_bit_identical_to_reference(i):
+    for x in EDGEWORTH_X:
+        for k in range(13):
+            assert outcome(edgeworth_d, k, i, x) == outcome(edgeworth_d_reference, k, i, x), (k, i, x)
+        for n in (3, 10, 1000, 10**6, 10**9):
+            for K in range(14):  # K = 13 raises
+                want = outcome(edgeworth_cdf_reference, n, i, x, K)
+                assert outcome(edgeworth_cdf, n, i, x, K) == want, (n, i, x, K)
+
 
 @pytest.mark.parametrize("t", [0.1, 0.5, 1.0, 3.0])
 def test_transition_grid_matches_reference(t):
@@ -256,3 +369,31 @@ def test_exact_kernels_do_no_fraction_arithmetic(monkeypatch):
     analytics._RenewalMasses().upto(60)  # a cold table, so growth runs here
     hitting_gf_coefficients(1, 60)
     fixation_transition(2, 30, TimePoint.from_time(0.7))
+
+
+# ---------------------------------------------------------------------------
+# structural guard: the float kernels call no helper per term
+# ---------------------------------------------------------------------------
+
+class HelperCall(Exception):
+    pass
+
+
+def test_float_kernels_call_no_helpers(monkeypatch):
+    def forbidden(*args):
+        raise HelperCall
+
+    for K in range(13):
+        analytics.edgeworth_c(K)  # cached before math.comb raises
+    monkeypatch.setattr(analytics, "signed_log_gamma", forbidden, raising=False)
+    monkeypatch.setattr(combinatorics, "signed_log_gamma", forbidden)
+    monkeypatch.setattr(analytics, "edgeworth_d", forbidden)
+    monkeypatch.setattr(math, "comb", forbidden)
+    with pytest.raises(HelperCall):
+        analytics.edgeworth_d(1, 2, 0.5)
+    for n, i, t in ((30, 5, 0.7), (1000, 29, 0.01), (10, 4, math.log(2.0)), (10**6, 10, 3.0)):
+        assert 0.0 <= absorption_cdf(n, i, t) <= 1.0  # t = log 2: a pole at j = 2
+        assert block_tail_via_duality(n, i, TimePoint.from_time(t)) == absorption_cdf(n, i, t)
+    for x in (-1.0, 0.5, 4.0):
+        for K in (0, 3, 12):
+            assert 0.0 <= edgeworth_cdf(1000, 5, x, K) <= 1.5
