@@ -52,8 +52,8 @@ from .analytics import (
     hitting_probability,
     reciprocal_factorial_moment,
 )
-# simulate imports numpy, most of a cold start, and limits holds the other
-# samplers: both load on the first use of one of their names (PEP 562).
+# limits and simulate import numpy, most of a cold start: they load on the
+# first use of one of their names (PEP 562), so closed-form work never does.
 _NUMPY_MODULES = ("limits", "simulate")
 
 

@@ -10,10 +10,9 @@ Every run is fully determined by its flags; simulation subcommands are
 byte-identical when repeated with the same --seed: replicate substreams
 are derived from (seed, index) alone.
 
-numpy is imported only by the subcommands that sample (limits
---method sample-*, simulate, converge) and by hitting --method integral,
-whose quadrature nodes come from numpy; the closed-form subcommands start
-without it.
+numpy is imported only by the subcommands that sample (limits, simulate,
+converge) and by hitting --method integral, whose quadrature nodes come
+from numpy; the closed-form subcommands start without it.
 """
 
 from __future__ import annotations
@@ -77,15 +76,6 @@ def _emit_rows(fmt: str, header: list[str], rows: list[list], json_key: str = "r
         w.writerow(header)
         w.writerows([_fmt(v) for v in r] for r in rows)
         sys.stdout.write(buf.getvalue())
-
-
-def _emit_values(fmt: str, values: list) -> None:
-    """One "value" column of Python floats or ints; csv.writer writes
-    numbers by repr, so one join gives its bytes without a call per row."""
-    if fmt == "json":
-        _emit_rows(fmt, ["value"], [[v] for v in values], json_key="values")
-    else:
-        sys.stdout.write("value\n" + "".join(repr(v) + "\n" for v in values))
 
 
 # ---------------------------------------------------------------------------
@@ -169,14 +159,14 @@ def _cmd_edgeworth(args) -> int:
 
 def _cmd_limits(args) -> int:
     from .limits import LogProcess, log_cumulant, ml_moment, sample_mittag_leffler, sample_neveu
+    from .simulate import replicate_rng
 
     tp = TimePoint.from_time(args.t)
     if args.method in ("sample-mittag-leffler", "sample-neveu"):
-        from .simulate import replicate_rng
-
         rng = replicate_rng(args.seed)
         sampler = sample_mittag_leffler if args.method == "sample-mittag-leffler" else sample_neveu
-        _emit_values(args.format, sampler(tp, rng, size=args.reps).tolist())
+        values = sampler(tp, rng, size=args.reps).tolist()
+        _emit_rows(args.format, ["value"], [[v] for v in values], json_key="values")
         return 0
     if args.method == "moment":
         value = ml_moment(tp, args.x)
@@ -233,7 +223,7 @@ def _cmd_simulate(args) -> int:
         diagnostics: dict = {}
         values = sample_fixation_marginal(args.n, args.t, args.reps, rng, diagnostics)
         print(json.dumps(diagnostics), file=sys.stderr)
-    _emit_values(args.format, values.tolist())
+    _emit_rows(args.format, ["value"], [[v] for v in values.tolist()], json_key="values")
     return 0
 
 

@@ -10,17 +10,16 @@ domain, and the exact CDFs integrate over it.
 
 Samplers accept ``size=None`` for a scalar draw or an integer for a
 vectorized batch; the random stream is always an explicit
-``numpy.random.Generator``.  numpy is imported by the samplers and the
-CDFs only, so the closed forms (moments, cumulants, Laplace transforms)
-run without it.
+``numpy.random.Generator``.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
+
+import numpy as np
 
 from .analytics import TimePoint, gumbel_cumulant
 
@@ -37,9 +36,6 @@ __all__ = [
     "check_pow_inequality",
 ]
 
-if TYPE_CHECKING:
-    import numpy as np
-
 
 def ml_moment(tp: TimePoint, m: float) -> float:
     """Moment of order m >= 0 of the Mittag-Leffler marginal at time t.
@@ -55,8 +51,6 @@ def _kanter_kernel(a: float, u):
     # k(u) = (1-a) log A(u) for Kanter's A(u) = sin(a pi u)^(a/(1-a)) sin((1-a) pi u) / sin(pi u)^(1/(1-a)),
     # increasing from a log a + (1-a) log(1-a) at u = 0 to +inf at u = 1.  For U uniform on (0, 1)
     # and E standard exponential, exp((1-a) log E - k(U)) is Mittag-Leffler.
-    import numpy as np
-
     return (
         a * np.log(np.sin(a * np.pi * u))
         + (1.0 - a) * np.log(np.sin((1.0 - a) * np.pi * u))
@@ -65,8 +59,6 @@ def _kanter_kernel(a: float, u):
 
 
 def _log_mittag_leffler(a: float, rng: np.random.Generator, size):
-    import numpy as np
-
     u = 1.0 - rng.random(size)  # in (0, 1]
     return (1.0 - a) * np.log(rng.exponential(size=size)) - _kanter_kernel(a, u)
 
@@ -78,8 +70,6 @@ def sample_neveu(tp: TimePoint, rng: np.random.Generator, size=None):
     Mittag-Leffler X grows like e^t, so from t of about 4 on a draw can leave
     the float64 range (0, inf); that raises ValueError.
     """
-    import numpy as np
-
     if tp.alpha == 1.0:
         return 1.0 if size is None else np.ones(int(size))
     with np.errstate(over="ignore", under="ignore"):
@@ -91,37 +81,26 @@ def sample_neveu(tp: TimePoint, rng: np.random.Generator, size=None):
 
 def sample_mittag_leffler(tp: TimePoint, rng: np.random.Generator, size=None):
     """Draws with moments Gamma(1+m)/Gamma(1+m alpha): S^(-alpha) for stable S."""
-    import numpy as np
-
     if tp.alpha == 1.0:
         return 1.0 if size is None else np.ones(int(size))
     return np.exp(_log_mittag_leffler(tp.alpha, rng, size))
 
 
-@functools.cache
-def _graded_rule() -> tuple[np.ndarray, np.ndarray]:
-    """(nodes, weights): 10 Gauss-Legendre nodes on each of [0, 1/2], [1/2, 3/4], ...,
-    [1 - 2^-40, 1], since the CDF integrands fall to 0 at a distance from u = 1
-    proportional to x.  Built on first use, so that importing this module does not
-    load numpy."""
-    import numpy as np
-
-    edges = np.append(1.0 - 0.5 ** np.arange(41.0), 1.0)
-    half = np.diff(edges)[:, None] / 2
-    gl, gw = np.polynomial.legendre.leggauss(10)
-    return (edges[:-1, None] + half * (1.0 + gl)).ravel(), (half * gw).ravel()
+# 10 Gauss-Legendre nodes on each of [0, 1/2], [1/2, 3/4], ..., [1 - 2^-40, 1]: the CDF
+# integrands fall to 0 at a distance from u = 1 proportional to x.
+_EDGES = np.append(1.0 - 0.5 ** np.arange(41.0), 1.0)
+_HALF = np.diff(_EDGES)[:, None] / 2
+_GL, _GW = np.polynomial.legendre.leggauss(10)
+_NODES, _WEIGHTS = (_EDGES[:-1, None] + _HALF * (1.0 + _GL)).ravel(), (_HALF * _GW).ravel()
 
 
 def _kanter_integral(tp: TimePoint, log_x: np.ndarray, g) -> np.ndarray:
     """int_0^1 g((x e^{k(u)})^(1/(1-alpha))) du on the graded rule, given log x."""
-    import numpy as np
-
-    nodes, weights = _graded_rule()
-    k, p, flat = _kanter_kernel(tp.alpha, nodes), 1.0 / (1.0 - tp.alpha), log_x.ravel()
+    k, p, flat = _kanter_kernel(tp.alpha, _NODES), 1.0 / (1.0 - tp.alpha), log_x.ravel()
     out = np.empty_like(flat)
     with np.errstate(over="ignore"):
         for s in range(0, flat.size, 128):  # 128 x 410 blocks stay in cache
-            out[s : s + 128] = g(np.exp((flat[s : s + 128, None] + k) * p)) @ weights
+            out[s : s + 128] = g(np.exp((flat[s : s + 128, None] + k) * p)) @ _WEIGHTS
     return out.reshape(log_x.shape)
 
 
@@ -135,8 +114,6 @@ def mittag_leffler_cdf(tp: TimePoint, x):
     at 0.2, 1.8e-7 at 0.1, 6e-6 at 0.05, about 2.6e-4 at t = 1e-2, 1e-3 and 1e-4.  t = 0 is
     the point mass at 1, and x <= 0 gives 0.
     """
-    import numpy as np
-
     x = np.asarray(x, dtype=np.float64)
     if tp.alpha == 1.0:
         return np.heaviside(x - 1.0, 1.0)
@@ -147,8 +124,6 @@ def mittag_leffler_cdf(tp: TimePoint, x):
 def neveu_cdf(tp: TimePoint, y):
     """P(Y <= y) = 1 - mittag_leffler_cdf(tp, y^(-alpha)), vectorized over y, with the same
     accuracy.  t = 0 is the point mass at 1, and y <= 0 gives 0."""
-    import numpy as np
-
     y = np.asarray(y, dtype=np.float64)
     if tp.alpha == 1.0:
         return mittag_leffler_cdf(tp, y)
@@ -217,8 +192,6 @@ def siegmund_duality_gap(
     the two probabilities are equal, so the estimate fluctuates around 0
     with standard error of order reps^{-1/2}.
     """
-    import numpy as np
-
     if reps < 1:
         raise ValueError(f"need at least one replicate, got {reps}")
     if x < 0 or y < 0 or t <= 0:

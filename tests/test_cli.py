@@ -10,9 +10,9 @@ import numpy as np
 import pytest
 
 from bscoal.analytics import TimePoint
-from bscoal.cli import _emit_values, _fmt, run
+from bscoal.cli import _fmt, run
 from bscoal.limits import sample_mittag_leffler
-from bscoal.simulate import replicate_rng, sample_block_marginal, simulate_block
+from bscoal.simulate import replicate_rng, simulate_block
 from bscoal.spectral import GeneratorKind, closed_form_decomposition
 
 
@@ -173,22 +173,6 @@ class TestEmit:
         values = sample_mittag_leffler(TimePoint.from_time(1.0), replicate_rng(3), size=1000)
         assert code == 0
         assert out == _csv_one_row_at_a_time(["value"], [[float(v)] for v in values])
-
-    def test_value_column_equals_csv_writer(self, capsys):
-        values = [math.nan, math.inf, -math.inf, -0.0, 0.0, 1e-300, 5e-324, 0.1, 2.5e17, 0, 7, -3, 2**63 - 1]
-        _emit_values("csv", values)
-        assert capsys.readouterr().out == _csv_one_row_at_a_time(["value"], [[v] for v in values])
-        _emit_values("csv", [])
-        assert capsys.readouterr().out == "value\n"
-
-    def test_simulate_values_csv_equals_row_by_row(self, capsys):
-        code, out = _capture(
-            capsys,
-            ["simulate", "--method", "block-marginal", "--n", "50", "--t", "1", "--reps", "200", "--seed", "4"],
-        )
-        values = sample_block_marginal(50, 1.0, 200, replicate_rng(4))
-        assert code == 0
-        assert out == _csv_one_row_at_a_time(["value"], [[int(v)] for v in values])
 
     def test_block_path_csv_equals_row_by_row(self, capsys):
         code, out = _capture(

@@ -26,9 +26,6 @@ CLOSED_FORM_COMMANDS = [
     ["hitting", "--i", "1", "--j", "7", "--method", "stirling-double"],
     ["absorption", "--n", "1000", "--i", "5", "--t", "2.0"],
     ["edgeworth", "--n", "1000", "--i", "2", "--x", "0.5", "--K", "3"],
-    ["limits", "--method", "moment", "--t", "1", "--x", "2"],
-    ["limits", "--method", "log-cumulant-ml", "--t", "1", "--K", "3"],
-    ["limits", "--method", "log-cumulant-neveu", "--t", "1", "--K", "3"],
 ]
 
 
@@ -61,7 +58,7 @@ class TestColdStart:
         [
             ["hitting", "--i", "1", "--j", "2000", "--method", "integral"],
             ["limits", "--method", "sample-neveu", "--t", "1", "--reps", "10"],
-            ["limits", "--method", "sample-mittag-leffler", "--t", "1", "--reps", "10"],
+            ["limits", "--method", "moment", "--t", "1", "--x", "2"],
             ["simulate", "--method", "block-marginal", "--n", "20", "--reps", "10"],
             ["converge", "--n", "50", "--t", "1", "--reps", "50"],
         ],
