@@ -32,7 +32,6 @@ from .spectral import (
     verify_decomposition,
 )
 from .analytics import (
-    EdgeworthCoeffs,
     HittingMethod,
     NumericInstabilityError,
     TimePoint,
@@ -94,7 +93,6 @@ __all__ = [
     "verify_decomposition",
     "TimePoint",
     "HittingMethod",
-    "EdgeworthCoeffs",
     "NumericInstabilityError",
     "fixation_pgf",
     "fixation_transition",

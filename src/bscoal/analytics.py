@@ -35,7 +35,6 @@ from .combinatorics import (
 __all__ = [
     "TimePoint",
     "HittingMethod",
-    "EdgeworthCoeffs",
     "NumericInstabilityError",
     "fixation_pgf",
     "fixation_transition",
@@ -103,15 +102,25 @@ def fixation_pgf(i: int, tp: TimePoint, z: float) -> float:
     return (1.0 - (1.0 - z) ** tp.alpha) ** i
 
 
+def _stirling_pairs(i: int, j: int) -> list[int]:
+    """S(k, i) s(j, k) for k = i..j.
+
+    The transition and hitting probabilities of the fixation line are two
+    weightings of one spectral sum, (-1)^(i+j) (i!/j!) sum_k S(k,i) s(j,k) w_k:
+    w_k = alpha^k gives p_ij(t), and w_k = j/k the probability of hitting j.
+    """
+    return [stirling_second(k, i) * stirling_first(j, k) for k in range(i, j + 1)]
+
+
 def _transition_stirling(i: int, j: int, alpha: float) -> float:
-    # (-1)^{i+j} (i!/j!) sum_k S(k,i) s(j,k) alpha^k, exactly: with
-    # alpha = a/b (b a power of two) the sum times b^j / a^i is the integer
+    # the pair sum at w_k = alpha^k, exactly: with alpha = a/b (b a power of
+    # two) the sum times b^j / a^i is the integer
     # sum_k S(k,i) s(j,k) a^(k-i) b^(j-k), built by Horner from k = j down.
     a, b = alpha.as_integer_ratio()
     acc = 0
     b_pow = 1
-    for k in range(j, i - 1, -1):
-        acc = acc * a + stirling_second(k, i) * stirling_first(j, k) * b_pow
+    for pair in reversed(_stirling_pairs(i, j)):
+        acc = acc * a + pair * b_pow
         b_pow *= b
     sign = -1 if (i + j) % 2 else 1
     # int / int is correctly rounded, as float(Fraction) is.
@@ -133,10 +142,13 @@ def fixation_transition(i: int, j: int, tp: TimePoint, formula: str = "stirling"
     if formula == "stirling":
         val = _transition_stirling(i, j, tp.alpha)
     elif formula == "binomial":
-        terms = [
-            ((-1) ** k) * math.comb(i, k) * general_binomial(tp.alpha * k, j)
-            for k in range(1, i + 1)
-        ]
+        try:
+            terms = [
+                ((-1) ** k) * math.comb(i, k) * general_binomial(tp.alpha * k, j)
+                for k in range(1, i + 1)
+            ]
+        except OverflowError:
+            raise NumericInstabilityError(f"p({i},{j}): C({i}, k) exceeds the float range") from None
         val = ((-1) ** j) * math.fsum(terms)
     else:
         raise ValueError(f"unknown formula {formula!r}")
@@ -164,7 +176,12 @@ def reciprocal_factorial_moment(tp: TimePoint, k: int) -> float:
     """E[1 / ((state+1)...(state+k))] for the state-1 fixation line marginal."""
     if k < 1:
         raise ValueError(f"order must be positive, got {k}")
-    return tp.alpha / (factorial(k) * (tp.alpha + k))
+    f = factorial(k)
+    try:
+        return tp.alpha / (f * (tp.alpha + k))
+    except OverflowError:  # k > 170: k! exceeds the float range
+        a, b = tp.alpha.as_integer_ratio()
+        return a / (f * (a + k * b))  # int / int: correctly rounded, 0.0 once it underflows
 
 
 def _block_tail(n: int, i: int, alpha: float) -> float:
@@ -182,19 +199,22 @@ def _block_tail(n: int, i: int, alpha: float) -> float:
     lg_n = lgamma(n)
     terms = []
     c = -1  # (-1)^(j-1) C(i, j), here for j = 0
-    for j in range(1, i + 1):
-        c = -c * (i - j + 1) // j
-        ja = j * alpha
-        x = 1.0 - ja
-        if x > 0.0:
-            s = c
-        else:
-            # Gamma alternates sign on (-m-1, -m); 1/Gamma vanishes at its poles
-            fl = floor(x)
-            if x == fl:
-                continue
-            s = c if fl % 2 == 0 else -c
-        terms.append(s * exp(lgamma(n - ja) - lg_n - lgamma(x)))
+    try:
+        for j in range(1, i + 1):
+            c = -c * (i - j + 1) // j
+            ja = j * alpha
+            x = 1.0 - ja
+            if x > 0.0:
+                s = c
+            else:
+                # Gamma alternates sign on (-m-1, -m); 1/Gamma vanishes at its poles
+                fl = floor(x)
+                if x == fl:
+                    continue
+                s = c if fl % 2 == 0 else -c
+            terms.append(s * exp(lgamma(n - ja) - lg_n - lgamma(x)))
+    except OverflowError:
+        raise NumericInstabilityError(f"block tail: C({i}, j) exceeds the float range") from None
     val = math.fsum(terms)
     if 0.0 <= val <= 1.0:
         return val
@@ -225,8 +245,7 @@ class _RenewalMasses:
     over W = d! lcm{m (m+1) : m <= d}, so the recursion runs on the
     numerators f(k) W, weighted by the integers lcm / (m (m+1)), with one
     exact division by the lcm per new entry.  Growth rescales the stored
-    numerators to the new W; the numerators, W and the ``Fraction`` values
-    grow under one lock.
+    numerators to the new W; the numerators and W grow under one lock.
     """
 
     def __init__(self):
@@ -234,16 +253,15 @@ class _RenewalMasses:
         self._nums = [1]
         self._lcm = 1
         self._den = 1
-        self._values = [Fraction(1)]
 
-    def upto(self, d: int) -> list[Fraction]:
-        """[f(0), ..., f(d)] as exact rationals, for d <= _RENEWAL_MAX_D."""
+    def upto(self, d: int) -> tuple[list[int], int]:
+        """([f(0) W, ..., f(d) W], W), one snapshot, for d <= _RENEWAL_MAX_D."""
         if d > _RENEWAL_MAX_D:
             raise ValueError(f"renewal route needs j - i <= {_RENEWAL_MAX_D}, got {d}")
         with self._lock:
-            if len(self._values) <= d:
+            if len(self._nums) <= d:
                 self._grow(d)
-            return self._values[: d + 1]
+            return self._nums[: d + 1], self._den
 
     def _grow(self, d: int) -> None:
         top = len(self._nums) - 1
@@ -258,7 +276,6 @@ class _RenewalMasses:
             if rem:
                 raise ArithmeticError(f"renewal numerator at d={k} is not an integer")
             nums.append(num)
-            self._values.append(Fraction(num, den))
         self._nums, self._lcm, self._den = nums, lcm, den
 
 
@@ -305,20 +322,18 @@ def hitting_probability(i: int, j: int, method: HittingMethod = HittingMethod.CO
         return 0.0 if method is HittingMethod.INTEGRAL else Fraction(0)
     d = j - i
     if method is HittingMethod.CONVOLUTION:
-        return _RENEWAL.upto(d)[d]
-    if method is HittingMethod.STIRLING_DOUBLE:
-        # (-1)^(i+j) i!/(j-1)! sum_k s(j,k) S(k,i) / k, over m = lcm(i..j)
-        m = math.lcm(*range(i, j + 1))
-        acc = sum(stirling_first(j, k) * stirling_second(k, i) * (m // k) for k in range(i, j + 1))
-        sign = -1 if (i + j) % 2 else 1
-        return Fraction(sign * factorial(i) * acc, factorial(j - 1) * m)
+        nums, den = _RENEWAL.upto(d)
+        return Fraction(nums[d], den)
+    if method is HittingMethod.INTEGRAL:
+        return _hitting_integral(d)
     if method is HittingMethod.STIRLING_SHIFT:
-        # (-1)^d / d! sum_k s(d+1,k) / k, over m = lcm(1..d+1)
-        m = math.lcm(*range(1, d + 2))
-        acc = sum(stirling_first(d + 1, k) * (m // k) for k in range(1, d + 2))
-        sign = -1 if d % 2 else 1
-        return Fraction(sign * acc, factorial(d) * m)
-    return _hitting_integral(d)
+        i, j = 1, d + 1  # the value depends on d only; every S(k, 1) is 1
+    # the pair sum at w_k = j/k: (-1)^(i+j) i!/(j-1)! sum_k S(k,i) s(j,k) / k,
+    # over m = lcm(i..j)
+    m = math.lcm(*range(i, j + 1))
+    acc = sum(pair * (m // k) for k, pair in enumerate(_stirling_pairs(i, j), i))
+    sign = -1 if (i + j) % 2 else 1
+    return Fraction(sign * factorial(i) * acc, factorial(j - 1) * m)
 
 
 def hitting_gf_coefficients(i: int, J: int) -> list[float]:
@@ -330,7 +345,8 @@ def hitting_gf_coefficients(i: int, J: int) -> list[float]:
     """
     if J < i:
         raise ValueError(f"need J >= i, got i={i}, J={J}")
-    return [float(f) for f in _RENEWAL.upto(J - i)]
+    nums, den = _RENEWAL.upto(J - i)
+    return [num / den for num in nums]  # int / int: correctly rounded, as float(Fraction)
 
 
 def hitting_asymptotic(j: int) -> float:
@@ -409,44 +425,22 @@ def gumbel_moment(k: int) -> float:
     return m[k]
 
 
-@dataclass(frozen=True)
-class EdgeworthCoeffs:
-    """Taylor coefficients c_0..c_K of the reciprocal of Gamma(1 - x)."""
-
-    order: int
-    values: tuple[float, ...]
-
-    def __getitem__(self, k: int) -> float:
-        return self.values[k]
-
-
 @functools.cache  # only orders 0..12 return, so at most 13 entries
-def edgeworth_c(K: int) -> EdgeworthCoeffs:
-    """c_k from the Gumbel moments by the alternating composition sum.
+def edgeworth_c(K: int) -> tuple[float, ...]:
+    """Taylor coefficients c_0..c_K of 1/Gamma(1 - x).
 
-    The moments enter as a_k = m_k / k!; the coefficients are the series
-    of sum_j (-A)^j where A(x) = sum_{k>=1} a_k x^k, accumulated by
-    truncated convolution powers.
+    1/Gamma(1 - x) = exp(-gamma x - sum_{k>=2} zeta(k) x^k / k), the Gumbel
+    cumulant series, so n c_n = -(gamma c_{n-1} + sum_{k=2..n} zeta(k) c_{n-k}).
     """
     if K < 0:
         raise ValueError(f"order must be nonnegative, got {K}")
     if K > _EDGEWORTH_MAX_ORDER:
         raise ValueError(f"order {K} exceeds supported maximum {_EDGEWORTH_MAX_ORDER}")
-    a = [0.0] + [gumbel_moment(k) / factorial(k) for k in range(1, K + 1)]
-    c = [0.0] * (K + 1)
-    c[0] = 1.0
-    power = [1.0] + [0.0] * K  # (-A)^j, truncated
-    for _ in range(1, K + 1):
-        nxt = [0.0] * (K + 1)
-        for p in range(K + 1):
-            if power[p] == 0.0:
-                continue
-            for q in range(1, K + 1 - p):
-                nxt[p + q] += power[p] * (-a[q])
-        power = nxt
-        for k in range(1, K + 1):
-            c[k] += power[k]
-    return EdgeworthCoeffs(order=K, values=tuple(c))
+    c = [1.0]
+    for n in range(1, K + 1):
+        zeta_terms = [ZETA[k] * c[n - k] for k in range(2, n + 1)]
+        c.append(-math.fsum([EULER_GAMMA * c[n - 1], *zeta_terms]) / n)
+    return tuple(c)
 
 
 def _gumbel_min_terms(i: int, x: float) -> list[float]:
@@ -458,9 +452,12 @@ def _gumbel_min_terms(i: int, x: float) -> list[float]:
     F = math.exp(-math.exp(-x))
     terms = []
     c = -1  # (-1)^(j-1) C(i, j), here for j = 0
-    for j in range(1, i + 1):
-        c = -c * (i - j + 1) // j
-        terms.append(F**j * c)
+    try:
+        for j in range(1, i + 1):
+            c = -c * (i - j + 1) // j
+            terms.append(F**j * c)
+    except OverflowError:
+        raise NumericInstabilityError(f"Gumbel-min sum: C({i}, j) exceeds the float range") from None
     return terms
 
 
@@ -482,7 +479,7 @@ def edgeworth_cdf(n: int, i: int, x: float, K: int) -> float:
         raise ValueError(f"need n >= 3 so that log log n is meaningful, got {n}")
     if i < 1:
         raise ValueError(f"need i >= 1, got {i}")
-    c = edgeworth_c(K).values
+    c = edgeworth_c(K)
     if _gumbel_underflows(x):
         return 0.0
     if x == math.inf:

@@ -231,15 +231,11 @@ def _cmd_converge(args) -> int:
     from .limits import mittag_leffler_cdf, neveu_cdf
     from .simulate import ks_distance, replicate_rng, scaled_marginal_sample
 
-    try:
-        grid = [int(v) for v in args.n.split(",")]
-    except ValueError:
-        raise SystemExit(2)
     tp = TimePoint.from_time(args.t)
     law = mittag_leffler_cdf if args.method == "block" else neveu_cdf
     rows = []
     ks_values = []
-    for idx, n in enumerate(grid, start=1):
+    for idx, n in enumerate(args.n, start=1):
         rng = replicate_rng(args.seed, idx)
         samples = scaled_marginal_sample(args.method, n, args.t, args.reps, rng)
         ks = ks_distance(samples, lambda x: law(tp, x))
@@ -254,6 +250,10 @@ def _cmd_converge(args) -> int:
 # ---------------------------------------------------------------------------
 # argument parsing
 # ---------------------------------------------------------------------------
+
+def _int_list(text: str) -> list[int]:
+    return [int(v) for v in text.split(",")]
+
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=("csv", "json"), default="csv", help="output format")
@@ -368,7 +368,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="KS distance of scaled marginals to the exact limit-law CDF over an n-grid",
     )
     p.add_argument("--method", choices=("block", "fixation"), default="block", help="process")
-    p.add_argument("--n", default="100,1000,10000", help="comma-separated n grid")
+    p.add_argument("--n", type=_int_list, default="100,1000,10000", help="comma-separated n grid")
     p.add_argument("--t", type=float, required=True)
     p.add_argument("--reps", type=int, default=10000)
     p.add_argument("--seed", type=int, default=0)

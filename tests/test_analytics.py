@@ -207,15 +207,18 @@ class TestHitting:
 
     def test_renewal_growth_is_thread_safe(self):
         serial = analytics._RenewalMasses().upto(150)
+        nums, den = serial
         table = analytics._RenewalMasses()
         barrier = threading.Barrier(4)
         seen: list[dict] = [{} for _ in range(4)]
 
         def grow(slot):
-            # each thread climbs to d = 150 in its own stride
+            # each thread climbs to d = 150 in its own stride, and builds
+            # each mass from the numerator and W of one snapshot
             barrier.wait()
             for d in [*range(slot + 1, 151, slot + 1), 150]:
-                seen[slot][d] = table.upto(d)[d]
+                got_nums, got_den = table.upto(d)
+                seen[slot][d] = Fraction(got_nums[d], got_den)
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -230,7 +233,7 @@ class TestHitting:
         assert not any(th.is_alive() for th in threads)
         for values in seen:
             assert 150 in values
-            assert all(v == serial[d] for d, v in values.items())
+            assert all(v == Fraction(nums[d], den) for d, v in values.items())
         assert table.upto(150) == serial
 
     @given(j=st.integers(2, 150))
@@ -339,6 +342,37 @@ class TestAbsorption:
             gumbel_limit_cdf(2, math.nan)
 
 
+class TestFloatRange:
+    """From i of about 1030 on, C(i, j) leaves the float range."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: absorption_cdf(10**4, 1100, 1.0),
+            lambda: block_tail_via_duality(10**4, 1100, TimePoint.from_time(1.0)),
+            lambda: edgeworth_cdf(1000, 1100, 0.5, 3),
+            lambda: edgeworth_d(2, 1100, 0.5),
+            lambda: fixation_transition(1100, 1101, TimePoint.from_time(1.0), "binomial"),
+        ],
+    )
+    def test_binomial_past_float_range_is_instability(self, call):
+        with pytest.raises(NumericInstabilityError, match="exceeds the float range"):
+            call()
+
+    def test_reciprocal_factorial_moment_past_float_factorial(self):
+        tp = TimePoint.from_time(1.0)
+        for k in (1, 2, 22, 23, 169, 170):  # the float expression, unchanged
+            float_form = tp.alpha / (math.factorial(k) * (tp.alpha + k))
+            assert reciprocal_factorial_moment(tp, k) == float_form
+        # past k = 170, k! leaves the float range: the exact value, rounded once
+        alpha = Fraction(tp.alpha)
+        for k in (171, 172, 180):
+            exact = alpha / (math.factorial(k) * (alpha + k))
+            assert reciprocal_factorial_moment(tp, k) == float(exact)
+        assert reciprocal_factorial_moment(tp, 171) == pytest.approx(1.7298e-312, rel=1e-4)
+        assert reciprocal_factorial_moment(tp, 400) == 0.0
+
+
 class TestEdgeworth:
     def test_gumbel_cumulants(self):
         assert gumbel_cumulant(1) == pytest.approx(EULER_GAMMA)
@@ -356,6 +390,16 @@ class TestEdgeworth:
         assert c[1] == pytest.approx(-0.577216, abs=1e-5)
         assert c[2] == pytest.approx(-0.655878, abs=1e-5)
         assert c[3] == pytest.approx(0.042003, abs=1e-5)
+
+    def test_c_matches_mpmath_taylor_coefficients(self):
+        # the recursion over the Gumbel cumulants, against 50-digit Taylor
+        # coefficients of 1/Gamma(1-x), to the last bits of c_0..c_12
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50):
+            want = mpmath.taylor(lambda x: mpmath.rgamma(1 - x), 0, 12)
+            errs = [abs(mpmath.mpf(c) - w) for c, w in zip(edgeworth_c(12), want)]
+        assert len(errs) == 13
+        assert max(errs) < 1e-16
 
     def test_c_matches_reciprocal_gamma_series(self):
         # c_k are the Taylor coefficients of 1/Gamma(1-x): check by finite

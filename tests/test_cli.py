@@ -257,6 +257,30 @@ class TestExitCodes:
             run(["converge", "--n", "100", "--t", "1", "--reps", "10", "--trunc", "5"])
         assert exc.value.code == 2
 
+    def test_converge_bad_grid_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["converge", "--n", "1,a", "--t", "1"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: bscoal converge")
+        assert "argument --n" in err and "'1,a'" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["absorption", "--n", "10000", "--i", "1100", "--t", "1"],
+            ["edgeworth", "--n", "1000", "--i", "1100", "--x", "0.5", "--K", "3"],
+            ["transition", "--i", "1100", "--j", "1101", "--t", "1", "--method", "binomial"],
+        ],
+    )
+    def test_binomial_past_float_range_exit_one(self, capsys, argv):
+        # C(i, j) leaves the float range from i of about 1030 on
+        assert run(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("numeric instability:")
+        assert "Traceback" not in captured.err
+
     def test_converge_tol_failure_exit_one(self, capsys):
         code = run(["converge", "--method", "block", "--n", "50", "--t", "1.0",
                     "--reps", "100", "--seed", "1", "--tol", "0.0001"])

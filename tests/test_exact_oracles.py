@@ -366,7 +366,8 @@ def test_exact_kernels_do_no_fraction_arithmetic(monkeypatch):
     ):
         for i, j in ((3, 3), (3, 40), (5, 2)):
             hitting_probability(i, j, method)
-    analytics._RenewalMasses().upto(60)  # a cold table, so growth runs here
+    nums, den = analytics._RenewalMasses().upto(60)  # a cold table, so growth runs here
+    assert all(type(v) is int for v in (*nums, den)) and len(nums) == 61
     hitting_gf_coefficients(1, 60)
     fixation_transition(2, 30, TimePoint.from_time(0.7))
 
@@ -383,14 +384,18 @@ def test_float_kernels_call_no_helpers(monkeypatch):
     def forbidden(*args):
         raise HelperCall
 
-    for K in range(13):
-        analytics.edgeworth_c(K)  # cached before math.comb raises
     monkeypatch.setattr(analytics, "signed_log_gamma", forbidden, raising=False)
     monkeypatch.setattr(combinatorics, "signed_log_gamma", forbidden)
     monkeypatch.setattr(analytics, "edgeworth_d", forbidden)
+    monkeypatch.setattr(analytics, "gumbel_moment", forbidden)
+    monkeypatch.setattr(analytics, "gumbel_cumulant", forbidden)
     monkeypatch.setattr(math, "comb", forbidden)
     with pytest.raises(HelperCall):
         analytics.edgeworth_d(1, 2, 0.5)
+    analytics.edgeworth_c.cache_clear()  # so the recursion runs under the guard
+    for K in range(13):
+        analytics.edgeworth_c(K)
+    assert analytics.edgeworth_c.cache_info().currsize == 13
     for n, i, t in ((30, 5, 0.7), (1000, 29, 0.01), (10, 4, math.log(2.0)), (10**6, 10, 3.0)):
         assert 0.0 <= absorption_cdf(n, i, t) <= 1.0  # t = log 2: a pole at j = 2
         assert block_tail_via_duality(n, i, TimePoint.from_time(t)) == absorption_cdf(n, i, t)
