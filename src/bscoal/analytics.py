@@ -178,10 +178,13 @@ def reciprocal_factorial_moment(tp: TimePoint, k: int) -> float:
         raise ValueError(f"order must be positive, got {k}")
     f = factorial(k)
     try:
-        return tp.alpha / (f * (tp.alpha + k))
+        den = f * (tp.alpha + k)  # inf at k = 170, where k! is a float but the product is not
     except OverflowError:  # k > 170: k! exceeds the float range
-        a, b = tp.alpha.as_integer_ratio()
-        return a / (f * (a + k * b))  # int / int: correctly rounded, 0.0 once it underflows
+        den = math.inf
+    if math.isfinite(den):
+        return tp.alpha / den
+    a, b = tp.alpha.as_integer_ratio()
+    return a / (f * (a + k * b))  # int / int: correctly rounded, 0.0 once it underflows
 
 
 def _block_tail(n: int, i: int, alpha: float) -> float:

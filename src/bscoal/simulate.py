@@ -2,12 +2,14 @@
 
 Single trajectories are produced jump by jump (competing exponentials, no
 time discretization), and so are the block absorption times, vectorized
-across replicates.  The marginals at a fixed time t come from one exact
-inverse of the state-1 fixation law (the Sibuya law with alpha = e^-t):
-the fixation line from n is a sum of n such draws (branching), and the
+across replicates.  The marginals at a fixed time t come from the
+state-1 fixation law (the Sibuya law with alpha = e^-t).  The fixation
+line from n is a sum of n such draws (branching): one multinomial per
+replicate counts the draws equal to 1..32, and only the draws past 32
+are inverted, from uniforms drawn after every replicate's counts.  The
 block count from n is the number of such draws whose running sum first
-reaches n (Siegmund duality).  Every sample has the exact finite-n
-distribution.
+reaches n (Siegmund duality), each inverted from one uniform.  Every
+sample has the exact finite-n distribution.
 
 Randomness contract: every function takes an explicit
 ``numpy.random.Generator``; replicate-indexed work uses PCG64 streams
@@ -184,72 +186,81 @@ def sample_absorption_times(n: int, i: int, reps: int, rng: np.random.Generator)
 # -- the state-1 fixation marginal: the Sibuya law ---------------------------
 #
 # The fixation line from 1 at time t has pgf 1 - (1-z)^alpha, alpha = e^-t,
-# which is the Sibuya law, and one uniform u is inverted per draw.  A
-# 32-entry cumulative table covers the bulk; a guide table of equal
-# buckets of u starts each lookup a few entries below its answer (Chen &
-# Asau 1974).  Past the table, Wendel's inequality puts Gamma(1-alpha)
-# P(X > x) between (x+1-alpha)^-alpha and x^-alpha, so with v = 1 - u the
-# quantile is ceil(y) - 1 or ceil(y), y = (v Gamma(1-alpha))^(-1/alpha),
-# and one log-survival evaluation picks between them (Hofert, CSDA 55,
-# 2011).  A draw is exact up to about 1e10; past that float64 cannot
-# always separate neighbouring survival values and it may be off by one
-# (by a relative 4e-15 past 1e15).
+# which is the Sibuya law.  A 32-entry pmf covers the bulk.  Past it,
+# Wendel's inequality puts Gamma(1-alpha) P(X > x) between
+# (x+1-alpha)^-alpha and x^-alpha, so the smallest x with P(X > x) <= v is
+# ceil(y) - 1 or ceil(y), y = (v Gamma(1-alpha))^(-1/alpha), and one
+# log-survival evaluation picks between them (Hofert, CSDA 55, 2011).  A
+# draw is exact up to about 1e10; past that float64 cannot always separate
+# neighbouring survival values and it may be off by one (by a relative
+# 4e-15 past 1e15).
 
 # Stirling series: log Gamma(w) = (w - 1/2) log w - w + log(2 pi)/2 + phi(w),
 # phi(w) = polyval(_STIRLING, w^-2) / w up to the w^-11 term
 _STIRLING = (-691 / 360360, 1 / 1188, -1 / 1680, 1 / 1260, -1 / 360, 1 / 12)
 _INT64_MAX = int(np.iinfo(np.int64).max)
-_GUIDE = 1024
+_GUIDE = 1024  # buckets of the guide table
+_ROUND = 1 << 16  # array entries per round of a sampler: 512 KiB of int64 or float64
 
 
-def _sibuya_inverse(alpha: float, lo: float = 0.0):
-    """The Sibuya(alpha) quantile as a function of uniforms, tables built once.
-
-    quantile(r, cap=None, diag=None) maps each r in [0, 1) to the smallest
-    x >= 1 with P(X <= x) >= lo + (1 - lo) r, as int64; lo = alpha = P(X = 1)
-    draws X given X >= 2.  With a cap the draws are min(x, cap); without one
-    a draw past 2^63 - 1 raises OverflowError.  ``diag["tail_draws"]``
-    counts the draws past the table.
-    """
+def _sibuya_pmf(alpha: float) -> np.ndarray:
+    """P(X = 1), ..., P(X = 32) for X ~ Sibuya(alpha)."""
     j = np.arange(1.0, 32.0)  # P(X = j+1) / P(X = j) = (j - alpha) / (j + 1)
-    pmf = np.concatenate(([alpha], alpha * np.cumprod((j - alpha) / (j + 1.0))))
-    cdf = np.append(np.cumsum(pmf), np.inf)  # the sentinel stops every walk at 32
-    # equal buckets of u over [lo, 1], at least 1024 of them over the part past
-    # P(X = 1) = alpha, where the table's entries lie, and at most 2^16
-    buckets = _GUIDE
-    while buckets < 1 << 16 and buckets * (1.0 - alpha) < _GUIDE * (1.0 - lo):
-        buckets *= 2
-    scale = buckets / (1.0 - lo)
+    return np.concatenate(([alpha], alpha * np.cumprod((j - alpha) / (j + 1.0))))
+
+
+def _sibuya_tail(alpha: float, v: np.ndarray, cap: int | None = None) -> np.ndarray:
+    """Sibuya(alpha) draws past the table: for each survival level v in
+    (0, P(X > 32)], the smallest x >= 33 with P(X > x) <= v, as int64.
+
+    With a cap the draws are min(x, cap); without one a draw past 2^63 - 1
+    raises OverflowError.
+    """
+    with np.errstate(divide="ignore", over="ignore"):  # y = inf once alpha underflows to 0
+        z = np.ceil((v * math.gamma(1.0 - alpha)) ** np.divide(-1.0, alpha))
+    if cap is not None:
+        z = np.minimum(z, cap + 1.0)  # a quantile past cap + 1 is past cap
+    elif not z.max() < 2.0**63:
+        raise OverflowError(f"fixation draw past 2^63 - 1 at alpha = {alpha!r}")
+    # log P(X >= z) = log Gamma(z - alpha) - log Gamma(z) - log Gamma(1 - alpha), by Stirling
+    w = z - alpha
+    log_ge = (w - 0.5) * np.log1p(-alpha / z) - alpha * np.log(z) + alpha - math.lgamma(1.0 - alpha)
+    log_ge += np.polyval(_STIRLING, 1.0 / (w * w)) / w - np.polyval(_STIRLING, 1.0 / (z * z)) / z
+    # v <= P(X > 32) places every draw past 32; rounding must not undo it
+    x = np.maximum(z.astype(np.int64) - (log_ge <= np.log(v)), 33)
+    return x if cap is None else np.minimum(x, cap)
+
+
+def _sibuya_inverse(alpha: float):
+    """The Sibuya(alpha) quantile given X >= 2 as a function of uniforms,
+    tables built once.
+
+    quantile(r, cap=None) maps each r in [0, 1) to the smallest x >= 1 with
+    P(X <= x) >= alpha + (1 - alpha) r, as int64 (alpha = P(X = 1), so the
+    draw is X given X >= 2 except at r = 0).  The 32-entry table is read
+    through a guide table of equal buckets of u over [alpha, 1], which
+    starts each lookup a few entries below its answer (Chen & Asau 1974);
+    past the table ``_sibuya_tail`` inverts.  With a cap the draws are
+    min(x, cap); without one a draw past 2^63 - 1 raises OverflowError.
+    """
+    cdf = np.append(np.cumsum(_sibuya_pmf(alpha)), np.inf)  # the sentinel stops every walk at 32
+    scale = _GUIDE / (1.0 - alpha)
     # guide[b] counts the entries in buckets below b; the bucket is nondecreasing
     # in u, so the answer for u in bucket b lies between guide[b] and guide[b + 1]
-    edges = ((cdf[:32] - lo) * scale).astype(np.intp)
-    guide = np.repeat(np.arange(33, dtype=np.int64), np.diff(edges, prepend=-1, append=buckets + 1))
+    edges = ((cdf[:32] - alpha) * scale).astype(np.intp)
+    guide = np.repeat(np.arange(33, dtype=np.int64), np.diff(edges, prepend=-1, append=_GUIDE + 1))
     span = int(np.diff(guide).max())
 
-    def quantile(r: np.ndarray, cap: int | None = None, diag: dict | None = None) -> np.ndarray:
-        u = r if lo == 0.0 else lo + (1.0 - lo) * r
-        out = guide[((u - lo) * scale).astype(np.intp)]
+    def quantile(r: np.ndarray, cap: int | None = None) -> np.ndarray:
+        u = alpha + (1.0 - alpha) * r
+        out = guide[((u - alpha) * scale).astype(np.intp)]
         for _ in range(span):
             out += cdf[out] < u
         tail = np.flatnonzero(out == 32)
         out += 1
-        if diag is not None:
-            diag["tail_draws"] = diag.get("tail_draws", 0) + tail.size
         if tail.size:
             # 1 - u without the rounding of u: 1 - r is exact on the 2^-53 grid of rng.random
-            v = (1.0 - lo) * (1.0 - r[tail])
-            with np.errstate(divide="ignore", over="ignore"):  # y = inf once alpha underflows to 0
-                z = np.ceil((v * math.gamma(1.0 - alpha)) ** np.divide(-1.0, alpha))
-            if cap is not None:
-                z = np.minimum(z, cap + 1.0)  # a quantile past cap + 1 is past cap
-            elif not z.max() < 2.0**63:
-                raise OverflowError(f"fixation draw past 2^63 - 1 at alpha = {alpha!r}")
-            # log P(X >= z) = log Gamma(z - alpha) - log Gamma(z) - log Gamma(1 - alpha), by Stirling
-            w = z - alpha
-            log_ge = (w - 0.5) * np.log1p(-alpha / z) - alpha * np.log(z) + alpha - math.lgamma(1.0 - alpha)
-            log_ge += np.polyval(_STIRLING, 1.0 / (w * w)) / w - np.polyval(_STIRLING, 1.0 / (z * z)) / z
-            # the table already placed these draws past 32; rounding must not undo it
-            out[tail] = np.maximum(z.astype(np.int64) - (log_ge <= np.log(v)), 33)
+            out[tail] = _sibuya_tail(alpha, (1.0 - alpha) * (1.0 - r[tail]), cap)
         return out if cap is None else np.minimum(out, cap)
 
     return quantile
@@ -276,7 +287,7 @@ def sample_block_marginal(n: int, t: float, reps: int, rng: np.random.Generator)
         return np.full(reps, n, dtype=np.int64)
     if alpha == 0.0:
         return np.ones(reps, dtype=np.int64)
-    above_one = _sibuya_inverse(alpha, lo=alpha)
+    above_one = _sibuya_inverse(alpha)
     out = np.empty(reps, dtype=np.int64)
     rows = np.arange(reps)
     steps = np.zeros(reps, dtype=np.int64)  # draws so far
@@ -302,27 +313,50 @@ def sample_fixation_marginal(
     """reps draws of the fixation line at time t, started from n.
 
     Uses the branching property: the marginal is the sum of n independent
-    copies of the state-1 marginal, each drawn by inverting one uniform
-    (a 32-entry table, then a closed-form quantile bracket).  A
-    state-1 draw is exact up to about 1e10; past that it may be off by one
-    (by a relative 4e-15 past 1e15).  ``diagnostics["tail_draws"]`` counts
-    the state-1 draws past the table.  Raises OverflowError when a state-1
-    draw or a replicate's sum passes 2^63 - 1.
+    state-1 (Sibuya) draws.  One ``rng.multinomial(n, [p_1, ..., p_32,
+    P(X > 32)])`` per replicate counts the draws equal to 1..32; only the
+    draws past 32 are drawn one by one, each by inverting one uniform
+    conditioned on X > 32 (a closed-form quantile bracket).  The stream is
+    every replicate's multinomial in order, then the uniforms of the draws
+    past 32 in replicate order, so the output does not depend on the size
+    of the rounds it is drawn in.  A state-1 draw is exact up to about
+    1e10; past that it may be off by one (by a relative 4e-15 past 1e15).
+    On return, ``diagnostics["tail_draws"]`` holds the number of state-1
+    draws past 32.  Domain: 1 <= n < 2^58 and 0 <= t < inf; at t = 0 the
+    draw is n.  Raises OverflowError when a state-1 draw or a replicate's
+    sum passes 2^63 - 1.
     """
-    if n < 1 or not 0 <= t < math.inf:
-        raise ValueError(f"need n >= 1 and 0 <= t < inf, got n={n}, t={t}")
-    diag = diagnostics if diagnostics is not None else {}
-    quantile = _sibuya_inverse(math.exp(-t))
+    if not 1 <= n < 2**58 or not 0 <= t < math.inf:
+        raise ValueError(f"need 1 <= n < 2^58 and 0 <= t < inf, got n={n}, t={t}")
+    alpha = math.exp(-t)
+    past = float(np.prod(1.0 - alpha / np.arange(1.0, 33.0)))  # P(X > 32) without cancellation
+    pvals = np.append(_sibuya_pmf(alpha), past)
     out = np.empty(reps, dtype=np.int64)
-    chunk = max(1, (1 << 16) // n)  # about 2^16 uniforms (512 KiB) per round stay in cache
-    for start in range(0, reps, chunk):
-        stop = min(start + chunk, reps)
-        rows = quantile(rng.random((stop - start) * n), diag=diag).reshape(stop - start, n)
-        # a row of draws <= INT64_MAX // n cannot wrap; sum the others exactly
-        big = rows[rows.max(axis=1) > _INT64_MAX // n]
-        if any(sum(map(int, row)) > _INT64_MAX for row in big):
+    tails = np.empty(reps, dtype=np.int64)
+    step = max(1, _ROUND // pvals.size)
+    for start in range(0, reps, step):
+        counts = rng.multinomial(n, pvals, size=min(step, reps - start))
+        out[start : start + len(counts)] = counts[:, :32] @ np.arange(1, 33)  # <= 32 n, no wrap
+        tails[start : start + len(counts)] = counts[:, 32]
+    # the draws past 32, concatenated in replicate order, in rounds that may split a replicate
+    rows = np.flatnonzero(tails)
+    ends = np.cumsum(tails[rows])
+    starts = ends - tails[rows]
+    total = int(ends[-1]) if rows.size else 0
+    for a in range(0, total, _ROUND):
+        x = _sibuya_tail(alpha, past * (1.0 - rng.random(min(_ROUND, total - a))))
+        i, j = np.searchsorted(ends, a, side="right"), np.searchsorted(starts, a + x.size)
+        seg = np.maximum(starts[i:j] - a, 0)  # where the draws of rows[i:j] begin in x
+        sums = np.add.reduceat(x, seg)
+        # a segment of draws <= INT64_MAX // size cannot wrap; sum the others exactly
+        edges = np.append(seg, x.size)
+        big = np.flatnonzero(np.maximum.reduceat(x, seg) > _INT64_MAX // x.size)
+        wraps = any(sum(map(int, x[edges[k] : edges[k + 1]])) > _INT64_MAX for k in big)
+        if wraps or (sums > _INT64_MAX - out[rows[i:j]]).any():
             raise OverflowError(f"fixation marginal from n={n} past 2^63 - 1 at t={t!r}")
-        out[start:stop] = rows.sum(axis=1)
+        out[rows[i:j]] += sums
+    if diagnostics is not None:
+        diagnostics["tail_draws"] = total
     return out
 
 

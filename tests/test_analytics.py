@@ -361,16 +361,27 @@ class TestFloatRange:
 
     def test_reciprocal_factorial_moment_past_float_factorial(self):
         tp = TimePoint.from_time(1.0)
-        for k in (1, 2, 22, 23, 169, 170):  # the float expression, unchanged
+        for k in (1, 2, 22, 23, 169):  # the float expression, unchanged
             float_form = tp.alpha / (math.factorial(k) * (tp.alpha + k))
             assert reciprocal_factorial_moment(tp, k) == float_form
-        # past k = 170, k! leaves the float range: the exact value, rounded once
+        # from k = 170 on, k! (alpha + k) leaves the float range: the exact value, rounded once
         alpha = Fraction(tp.alpha)
-        for k in (171, 172, 180):
+        for k in (170, 171, 172, 180):
             exact = alpha / (math.factorial(k) * (alpha + k))
             assert reciprocal_factorial_moment(tp, k) == float(exact)
+        assert reciprocal_factorial_moment(tp, 170) == pytest.approx(2.9753345506414e-310, rel=1e-12)
         assert reciprocal_factorial_moment(tp, 171) == pytest.approx(1.7298e-312, rel=1e-4)
         assert reciprocal_factorial_moment(tp, 400) == 0.0
+
+    @pytest.mark.parametrize("t", [0.1, 1.0, 3.0])
+    def test_reciprocal_factorial_moment_at_float_factorial_edge(self, t):
+        # 170! is a float and 170! (alpha + 170) is not
+        tp = TimePoint.from_time(t)
+        alpha = Fraction(tp.alpha)
+        exact = float(alpha / (math.factorial(170) * (alpha + 170)))
+        assert exact > 0.0 and reciprocal_factorial_moment(tp, 170) == exact
+        m = [reciprocal_factorial_moment(tp, k) for k in (169, 170, 171)]
+        assert m[0] > m[1] > m[2] > 0.0
 
 
 class TestEdgeworth:

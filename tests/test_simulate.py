@@ -6,7 +6,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from bscoal.analytics import TimePoint, absorption_cdf, block_tail_via_duality, fixation_marginal
+from bscoal import simulate
+from bscoal.analytics import (
+    TimePoint,
+    absorption_cdf,
+    block_tail_via_duality,
+    fixation_marginal,
+    fixation_pgf,
+    fixation_transition,
+)
 from bscoal.limits import mittag_leffler_cdf
 from bscoal.simulate import (
     PathSample,
@@ -20,7 +28,7 @@ from bscoal.simulate import (
     simulate_block,
     simulate_fixation,
 )
-from bscoal.simulate import _block_decrement, _sibuya_inverse
+from bscoal.simulate import _block_decrement, _sibuya_inverse, _sibuya_tail
 
 # chi-square critical value at p = 0.001, df = 9 (frozen table value)
 CHI2_CRIT_9_999 = 27.877
@@ -162,12 +170,45 @@ class TestEstimators:
             assert abs((s == j).mean() - p) < 3.5 * se
 
     def test_fixation_marginal_branching_mean(self):
-        # mean of the state-1 marginal is 1/alpha, so from n it is n/alpha
+        # the state-1 marginal has no finite mean (P(X > x) ~ x^-alpha), so the
+        # branching property is checked on a bounded mean: E[z^X]^n, at a z where
+        # it is about e^-1
         n, t = 200, 0.4
         s = sample_fixation_marginal(n, t, 20000, replicate_rng(21))
         alpha = math.exp(-t)
-        se = s.std() / math.sqrt(s.size)
-        assert abs(s.mean() - n / alpha) < 4 * se
+        z = 1.0 - n ** (-1.0 / alpha)
+        zs = np.exp(s * math.log(z))
+        se = zs.std() / math.sqrt(s.size)
+        assert abs(zs.mean() - fixation_pgf(n, TimePoint.from_time(t), z)) < 4 * se
+
+    def test_fixation_marginal_matches_transition_row(self):
+        # from n = 3, against the exact Stirling transition row, which reads no table
+        n, t, reps = 3, 0.7, 10**5
+        tp = TimePoint.from_time(t)
+        s = sample_fixation_marginal(n, t, reps, replicate_rng(24))
+        assert s.min() >= n
+        row = [fixation_transition(n, j, tp) for j in range(n, 41)]
+        for j, p in enumerate(row + [1.0 - math.fsum(row)], start=n):
+            f = (s == j).mean() if j <= 40 else (s > 40).mean()
+            assert abs(f - p) <= 5 * math.sqrt(p * (1 - p) / reps), (j, f, p)
+
+    def test_fixation_marginal_tail_by_duality(self):
+        # at t = 3 four draws in five are past the table, and a replicate passes
+        # 2^63 - 1 (OverflowError) about one time in five: one replicate per call,
+        # and an overflow counts as past every level
+        n, t, calls = 2, 3.0, 5000
+        tp = TimePoint.from_time(t)
+        rng = replicate_rng(27)
+        s = np.empty(calls)
+        for k in range(calls):
+            try:
+                s[k] = sample_fixation_marginal(n, t, 1, rng)[0]
+            except OverflowError:
+                s[k] = math.inf
+        for m in (3, 10, 100, 10**3, 10**6, 10**9):
+            p = block_tail_via_duality(m, n, tp)
+            f = (s >= m).mean()
+            assert abs(f - p) <= 5 * math.sqrt(p * (1 - p) / calls), (m, f, p)
 
     def test_scaled_block_time_zero(self):
         s = scaled_marginal_sample("block", 100, 0.0, 50, replicate_rng(22))
@@ -190,6 +231,10 @@ class TestEstimators:
                 sample_fixation_marginal(3, t, 3, replicate_rng(0))
             with pytest.raises(ValueError):
                 scaled_marginal_sample("fixation", 3, t, 3, replicate_rng(0))
+        # from n = 2^58 on, n draws of at most 32 could pass 2^63 - 1
+        for n in (0, 2**58):
+            with pytest.raises(ValueError):
+                sample_fixation_marginal(n, 0.5, 3, replicate_rng(0))
         assert simulate_block(10, math.inf, replicate_rng(0)).states[-1] == 1
 
 
@@ -264,7 +309,7 @@ class TestBlockMarginalByDuality:
         r = np.array([np.nextafter(1.0, 0.0)])
         assert math.exp(-0.5) + (1 - math.exp(-0.5)) * r[0] == 1.0
         for t in (0.5, 1.0, 3.0):
-            above_one = _sibuya_inverse(math.exp(-t), lo=math.exp(-t))
+            above_one = _sibuya_inverse(math.exp(-t))
             assert above_one(r, cap=50).tolist() == [50]
             assert above_one(r, cap=10**12).tolist() == [10**12]
 
@@ -281,30 +326,26 @@ class TestStateOneTable:
         cdf = _table_cdf(alpha)
         knots = np.concatenate((cdf, np.nextafter(cdf, 0.0), np.nextafter(cdf, 1.0)))
         u = np.concatenate((replicate_rng(35).random(10**6), knots[knots < 1.0], [0.0]))
-        want = np.searchsorted(cdf, u, side="left") + 1
-        # the cap keeps t = 10 (almost every draw past 1e9) from overflowing int64
-        got = _sibuya_inverse(alpha)(u, cap=10**6)
-        table = want <= 32
-        assert np.array_equal(got[table], want[table])
-        assert got[~table].min(initial=33) >= 33
         # given X >= 2, the guide spans [alpha, 1]
         r = np.concatenate((u, (knots[knots >= alpha] - alpha) / (1.0 - alpha)))
         r = r[r < 1.0]
         want = np.searchsorted(cdf, alpha + (1.0 - alpha) * r, side="left") + 1
-        got = _sibuya_inverse(alpha, lo=alpha)(r, cap=10**6)
+        # the cap keeps t = 10 (almost every draw past 1e9) from overflowing int64
+        got = _sibuya_inverse(alpha)(r, cap=10**6)
         table = want <= 32
         assert np.array_equal(got[table], want[table])
         assert got[~table].min(initial=33) >= 33
 
     @pytest.mark.parametrize("n, t, reps", [(3, 1.0, 1000), (3, 0.5, 200_000)])
-    def test_chunks_read_one_uniform_stream(self, n, t, reps):
-        # 6e5 uniforms span ten chunks of about 2^16
+    def test_chunks_read_one_uniform_stream(self, n, t, reps, monkeypatch):
+        # every multinomial, then the uniforms of the draws past the table in
+        # replicate order: smaller rounds, which split replicates, give the same
         diag = {}
         got = sample_fixation_marginal(n, t, reps, replicate_rng(36), diag)
-        want_diag = {}
-        u = replicate_rng(36).random(n * reps)
-        want = _sibuya_inverse(math.exp(-t))(u, diag=want_diag).reshape(reps, n).sum(axis=1)
-        assert np.array_equal(got, want) and diag == want_diag
+        monkeypatch.setattr(simulate, "_ROUND", 1 if reps <= 1000 else 1000)
+        again = {}
+        assert np.array_equal(sample_fixation_marginal(n, t, reps, replicate_rng(36), again), got)
+        assert again == diag and diag["tail_draws"] > 0
 
 
 class TestKsDistance:
@@ -354,22 +395,36 @@ class TestKsDistance:
         assert d_large < d_small
 
 
-class _Uniforms:
-    """Stands in for a Generator whose random(size) returns the given uniforms."""
+class _Draws:
+    """Stands in for a Generator.  multinomial(n, pvals, size) puts tails[k] of
+    row k's n draws past the table and the others at 1; random(size) hands out
+    the given uniforms in order."""
 
-    def __init__(self, u):
-        self.u = np.asarray(u, dtype=np.float64)
+    def __init__(self, u, tails):
+        self.u, self.tails, self.pvals = list(u), list(tails), None
+
+    def multinomial(self, n, pvals, size):
+        self.pvals = pvals
+        counts = np.zeros((size, len(pvals)), dtype=np.int64)
+        counts[:, -1] = self.tails[:size]
+        counts[:, 0] = n - counts[:, -1]
+        del self.tails[:size]
+        return counts
 
     def random(self, size):
-        assert size == self.u.size
-        return self.u
+        assert size <= len(self.u)
+        out, self.u = np.array(self.u[:size]), self.u[size:]
+        return out
 
 
-def _uniform_at(x, t):
+def _uniform_at(x, t, past_table=False):
     """A uniform whose state-1 draw at time t is about x (h(x) = v, rounded
-    onto the 2^-53 grid of rng.random)."""
+    onto the 2^-53 grid of rng.random); with past_table, the uniform of a
+    draw given X > 32, as the fixation sampler inverts it."""
     a = math.exp(-t)
     v = x**-a / math.gamma(1 - a)
+    if past_table:
+        v /= 1.0 - _table_cdf(a)[-1]
     return 1.0 - round(v * 2.0**53) / 2.0**53
 
 
@@ -378,12 +433,12 @@ class TestStateOneInverse:
     Sibuya law P(X > x) = Gamma(x+1-a) / (Gamma(1-a) Gamma(x+1))."""
 
     @staticmethod
-    def _oracle(u, t, lo=0.0):
-        """The quantile at lo + (1 - lo) u, with P(X > x) = (1 - lo)(1 - u) formed in mpmath."""
+    def _oracle(u, t, mass=1.0):
+        """The smallest x with P(X > x) <= mass (1 - u), formed in mpmath."""
         mp = pytest.importorskip("mpmath")
         with mp.workdps(60):
             a = mp.mpf(math.exp(-t))
-            log_v = mp.log((1 - mp.mpf(lo)) * (1 - mp.mpf(u)))
+            log_v = mp.log(mp.mpf(mass) * (1 - mp.mpf(u)))
 
             def above(x):  # P(X > x) <= v, with x + 1 - a formed in mpmath
                 return mp.loggamma(x + 1 - a) - mp.loggamma(x + 1) - mp.loggamma(1 - a) <= log_v
@@ -396,20 +451,36 @@ class TestStateOneInverse:
                 lo, hi = (lo, mid) if above(mid) else (mid, hi)
             return hi
 
+    @staticmethod
+    def _assert_near(x, q, u):
+        # past about 1e10 float64 cannot always separate neighbouring
+        # survival values: off by one, or by a relative 4e-15
+        tol = 0 if q <= 1e10 else max(1.0, 4e-15 * q)
+        assert abs(x - q) <= tol, (u, x, q)
+
     @pytest.mark.parametrize("t", [0.5, 1.0, 1.5])
     def test_matches_60_digit_oracle(self, t):
-        bulk = [0.0, 0.01, 0.2, 0.21, 0.4, 0.55]
-        tail = [_uniform_at(10.0**e, t) for e in np.arange(1.6, 15.01, 0.45)]
-        u = np.array(bulk + tail)
-        x = sample_fixation_marginal(1, t, u.size, _Uniforms(u), {})
+        a = math.exp(-t)
+        levels = 10.0 ** np.arange(1.6, 15.01, 0.45)
+        # the table given X >= 2, as the block sampler reads it
+        r = [0.01, 0.2, 0.21, 0.4, 0.55]
+        x = _sibuya_inverse(a)(np.array(r))
         assert x.dtype == np.int64
-        for xi, ui in zip(x.tolist(), u.tolist()):
-            q = self._oracle(ui, t)
-            # past about 1e10 float64 cannot always separate neighbouring
-            # survival values: off by one, or by a relative 4e-15
-            tol = 0 if q <= 1e10 else max(1.0, 4e-15 * q)
-            assert abs(xi - q) <= tol, (ui, xi, q)
-        assert x[: len(bulk)].max() <= 32 < x[len(bulk) :].min()
+        for xi, ri in zip(x.tolist(), r):
+            assert xi == self._oracle(ri, t, mass=1.0 - a), (ri, xi)
+        # the tail helper, fed 1 - u for the uniform u of a draw past the table
+        u = [_uniform_at(x, t) for x in levels]
+        x = _sibuya_tail(a, 1.0 - np.array(u))
+        assert x.dtype == np.int64 and x.min() >= 33
+        for xi, ui in zip(x.tolist(), u):
+            self._assert_near(xi, self._oracle(ui, t), ui)
+        # the fixation sampler's draws past the table, given X > 32
+        r = [_uniform_at(x, t, past_table=True) for x in levels]
+        draws = _Draws(r, tails=[1] * len(r))
+        x = sample_fixation_marginal(1, t, len(r), draws)
+        assert x.dtype == np.int64
+        for xi, ri in zip(x.tolist(), r):
+            self._assert_near(xi, self._oracle(ri, t, mass=draws.pvals[-1]), ri)
 
     @pytest.mark.parametrize("t", [0.01, 0.1, 0.5])
     def test_draws_above_one_match_60_digit_oracle(self, t):
@@ -418,29 +489,45 @@ class TestStateOneInverse:
         a = math.exp(-t)
         levels = 10.0 ** np.arange(1.6, 10.01, 0.4)
         r = [1.0 - round(x**-a / math.gamma(1 - a) / (1 - a) * 2.0**53) / 2.0**53 for x in levels]
-        x = _sibuya_inverse(a, lo=a)(np.array(r), cap=10**12)
+        x = _sibuya_inverse(a)(np.array(r), cap=10**12)
         for xi, ri in zip(x.tolist(), r):
-            assert xi == self._oracle(ri, t, lo=a), (ri, xi)
+            assert xi == self._oracle(ri, t, mass=1.0 - a), (ri, xi)
 
     def test_tail_draws_counted(self):
+        # three replicates from n = 3 with 1, 0 and 2 draws past the table
+        t = 1.0
+        u = [_uniform_at(x, t, past_table=True) for x in (1e3, 50.0, 1e6)]
         diag = {}
-        u = [0.1, _uniform_at(1e3, 1.0), _uniform_at(1e6, 1.0)]
-        sample_fixation_marginal(1, 1.0, 3, _Uniforms(u), diag)
-        assert diag["tail_draws"] == 2
+        draws = _Draws(u, tails=[1, 0, 2])
+        got = sample_fixation_marginal(3, t, 3, draws, diag)
+        x = _sibuya_tail(math.exp(-t), draws.pvals[-1] * (1.0 - np.array(u))).tolist()
+        assert diag == {"tail_draws": 3}
+        assert got.tolist() == [2 + x[0], 3, 1 + x[1] + x[2]]
 
     def test_draw_past_int64_overflows(self):
+        # a call that raises reports no diagnostics
+        diag = {}
         with pytest.raises(OverflowError):
-            sample_fixation_marginal(1, 3.0, 1, _Uniforms([_uniform_at(3e19, 3.0)]))
+            sample_fixation_marginal(1, 3.0, 1, _Draws([_uniform_at(3e19, 3.0, True)], [1]), diag)
+        assert diag == {}
 
-    def test_row_sum_past_int64_overflows(self):
+    def test_row_sum_past_int64_overflows(self, monkeypatch):
         # each draw fits in int64 (about 5e18), their sum does not
-        u = [_uniform_at(5e18, 3.0)] * 2
-        each = sample_fixation_marginal(1, 3.0, 2, _Uniforms(u))
+        u = [_uniform_at(5e18, 3.0, True)] * 2
+        each = sample_fixation_marginal(1, 3.0, 2, _Draws(u, [1, 1]))
         assert each.min() > 4e18 and each.max() < 2**63 - 1
         with pytest.raises(OverflowError):
-            sample_fixation_marginal(2, 3.0, 1, _Uniforms(u))
+            sample_fixation_marginal(2, 3.0, 1, _Draws(u, [2]))
         # below 2^63 - 1 the sum is exact
-        u = [_uniform_at(4e18, 3.0)] * 2
-        each = sample_fixation_marginal(1, 3.0, 2, _Uniforms(u))
-        total = sample_fixation_marginal(2, 3.0, 1, _Uniforms(u))
+        u = [_uniform_at(4e18, 3.0, True)] * 3
+        each = sample_fixation_marginal(1, 3.0, 2, _Draws(u, [1, 1]))
+        total = sample_fixation_marginal(2, 3.0, 1, _Draws(u, [2]))
         assert int(total[0]) == sum(each.tolist())
+        # three draws of about 4e18 wrap int64 within one round, and pass
+        # 2^63 - 1 on the third round of one draw each
+        with pytest.raises(OverflowError):
+            sample_fixation_marginal(3, 3.0, 1, _Draws(u, [3]))
+        monkeypatch.setattr(simulate, "_ROUND", 1)
+        assert sample_fixation_marginal(2, 3.0, 1, _Draws(u, [2])).tolist() == total.tolist()
+        with pytest.raises(OverflowError):
+            sample_fixation_marginal(3, 3.0, 1, _Draws(u, [3]))
