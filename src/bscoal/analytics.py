@@ -464,20 +464,43 @@ def _gumbel_min_terms(i: int, x: float) -> list[float]:
     return terms
 
 
+# Each term of the alternating sums is rounded by at most 2^-52 relative, so a sum
+# whose terms reach S in absolute value may be off by S 2^-52.  Past this bound the
+# Edgeworth forms raise rather than return what is left after the cancellation.
+_EDGEWORTH_ROUNDING_MAX = 1e-9
+
+
+def _check_rounding(bound: float, i: int, x: float) -> None:
+    if bound > _EDGEWORTH_ROUNDING_MAX:
+        raise NumericInstabilityError(
+            f"Gumbel-min sum at i={i}, x={x!r} cancels: rounding bound {bound:.3g} exceeds 1e-9"
+        )
+
+
 def edgeworth_d(k: int, i: int, x: float) -> float:
     """Coefficient functions d_{k i}(x) = (e^x d/dx)^k applied to the Gumbel-min CDF.
 
-    Evaluated as the finite alternating sum in powers of F(x).
+    Evaluated as the finite alternating sum in powers of F(x); raises
+    NumericInstabilityError when its rounding bound 2^-52 sum_j |t_j| j^k, over
+    the terms t_j of the sum, exceeds 1e-9.
     """
     if k < 0 or i < 1:
         raise ValueError(f"need k >= 0 and i >= 1, got k={k}, i={i}")
     if _gumbel_underflows(x):
         return 0.0
-    return math.fsum([t * j**k for j, t in enumerate(_gumbel_min_terms(i, x), 1)])
+    p = [t * j**k for j, t in enumerate(_gumbel_min_terms(i, x), 1)]
+    _check_rounding(sum(map(abs, p)) * 2.0**-52, i, x)
+    return math.fsum(p)
 
 
 def edgeworth_cdf(n: int, i: int, x: float, K: int) -> float:
-    """Order-K expansion of P(absorption time from n, centered by log log n, <= x)."""
+    """Order-K expansion of P(absorption time from n, centered by log log n, <= x).
+
+    Raises NumericInstabilityError when the rounding bound
+    2^-52 sum_k |c_k| e^(-kx) / ln(n)^k sum_j |t_j| j^k exceeds 1e-9, over the
+    terms t_j of the Gumbel-min sum: from i = 23 on at x >= 3, from about 49 at
+    x = 0.
+    """
     if n < 3:
         raise ValueError(f"need n >= 3 so that log log n is meaningful, got {n}")
     if i < 1:
@@ -490,6 +513,11 @@ def edgeworth_cdf(n: int, i: int, x: float, K: int) -> float:
     ln = math.log(n)
     terms = list(enumerate(_gumbel_min_terms(i, x), 1))
     fsum, exp = math.fsum, math.exp
-    return fsum(
-        [c[k] * fsum([t * j**k for j, t in terms]) * exp(-k * x) / ln**k for k in range(K + 1)]
-    )
+    parts, bound = [], 0.0
+    for k in range(K + 1):
+        p = [t * j**k for j, t in terms]
+        e, lk = exp(-k * x), ln**k
+        parts.append(c[k] * fsum(p) * e / lk)
+        bound += abs(c[k]) * e / lk * sum(map(abs, p))
+    _check_rounding(bound * 2.0**-52, i, x)
+    return fsum(parts)

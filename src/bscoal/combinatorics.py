@@ -56,11 +56,21 @@ _second_rows: list[list[int]] = [[1]]
 
 
 def _grow(rows: list[list[int]], n: int, weight) -> None:
-    # T(m+1, k) = T(m, k-1) + weight(m, k) * T(m, k), with T(m, m+1) = 0
-    while len(rows) <= n:
-        m = len(rows) - 1
-        prev = rows[m] + [0]
-        rows.append([0] + [prev[k - 1] + weight(m, k) * prev[k] for k in range(1, m + 2)])
+    # T(m+1, k) = T(m, k-1) + weight(m, k) * T(m, k), with T(m, m+1) = 0.  Each
+    # row is appended whole, so a row the table already holds is read without the lock.
+    with _table_lock:
+        while len(rows) <= n:
+            m = len(rows) - 1
+            prev = rows[m] + [0]
+            rows.append([0] + [prev[k - 1] + weight(m, k) * prev[k] for k in range(1, m + 2)])
+
+
+def _first_weight(m: int, k: int) -> int:
+    return -m
+
+
+def _second_weight(m: int, k: int) -> int:
+    return k
 
 
 def _check_range(n: int, k: int) -> None:
@@ -79,9 +89,9 @@ def stirling_first(n: int, k: int) -> int:
     _check_range(n, k)
     if k > n:
         return 0
-    with _table_lock:
-        _grow(_first_rows, n, lambda m, k: -m)
-        return _first_rows[n][k]
+    if n >= len(_first_rows):
+        _grow(_first_rows, n, _first_weight)
+    return _first_rows[n][k]
 
 
 def stirling_second(n: int, k: int) -> int:
@@ -89,9 +99,9 @@ def stirling_second(n: int, k: int) -> int:
     _check_range(n, k)
     if k > n:
         return 0
-    with _table_lock:
-        _grow(_second_rows, n, lambda m, k: k)
-        return _second_rows[n][k]
+    if n >= len(_second_rows):
+        _grow(_second_rows, n, _second_weight)
+    return _second_rows[n][k]
 
 
 def signed_log_gamma(x: float) -> tuple[int, float]:

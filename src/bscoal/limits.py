@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .analytics import TimePoint, gumbel_cumulant
+from .analytics import NumericInstabilityError, TimePoint, gumbel_cumulant
 
 __all__ = [
     "LogProcess",
@@ -40,11 +40,19 @@ __all__ = [
 def ml_moment(tp: TimePoint, m: float) -> float:
     """Moment of order m >= 0 of the Mittag-Leffler marginal at time t.
 
-    Gamma(1 + m) / Gamma(1 + m alpha); finite for every m >= 0.
+    Gamma(1 + m) / Gamma(1 + m alpha); finite for every finite m >= 0.  Past
+    the float range (m = inf, or m above about 170 at t = 1) it raises
+    NumericInstabilityError.
     """
-    if m < 0:
+    if not m >= 0:
         raise ValueError(f"moment order must be nonnegative, got {m}")
-    return math.exp(math.lgamma(1.0 + m) - math.lgamma(1.0 + m * tp.alpha))
+    try:
+        value = math.exp(math.lgamma(1.0 + m) - math.lgamma(1.0 + m * tp.alpha))
+    except OverflowError:
+        value = math.inf
+    if not value < math.inf:  # NaN at m = inf
+        raise NumericInstabilityError(f"moment of order {m} at t = {tp.t!r} exceeds the float range")
+    return value
 
 
 def _kanter_kernel(a: float, u):
@@ -141,12 +149,12 @@ def neveu_laplace_fd(times: Sequence[float], lambdas: Sequence[float]) -> float:
     lams = [float(v) for v in lambdas]
     if len(times) != len(lams) or not times:
         raise ValueError("times and lambdas must be equal-length nonempty sequences")
-    if any(l < 0 for l in lams):
-        raise ValueError("lambdas must be nonnegative")
-    if any(t2 <= t1 for t1, t2 in zip(times, times[1:])):
+    if not all(l >= 0 for l in lams):
+        raise ValueError("lambdas must be nonnegative numbers")
+    if not all(t2 > t1 for t1, t2 in zip(times, times[1:])):
         raise ValueError("times must be strictly increasing")
-    if times[0] < 0:
-        raise ValueError("times must be nonnegative")
+    if not times[0] >= 0:
+        raise ValueError("times must be nonnegative numbers")
     alphas = [math.exp(-t) for t in times]
     while len(lams) > 1:
         lk = lams.pop()
@@ -165,7 +173,7 @@ class LogProcess:
     def __post_init__(self):
         if self.which not in ("mittag-leffler", "neveu"):
             raise ValueError(f"unknown log process {self.which!r}")
-        if self.t < 0:
+        if not self.t >= 0:
             raise ValueError(f"time must be nonnegative, got {self.t}")
 
 
@@ -173,14 +181,21 @@ def log_cumulant(spec: LogProcess, j: int) -> float:
     """j-th cumulant of log X_t (Mittag-Leffler) or log Y_t (stable limit).
 
     Both are scaled Gumbel cumulants: (e^{jt} - 1) kappa_j for the stable
-    limit, (-1)^j (1 - e^{-jt}) kappa_j for the Mittag-Leffler one.
+    limit, (-1)^j (1 - e^{-jt}) kappa_j for the Mittag-Leffler one.  A stable
+    cumulant past the float range raises NumericInstabilityError.
     """
     if j < 1:
         raise ValueError(f"cumulant order must be positive, got {j}")
     kg = gumbel_cumulant(j)
-    if spec.which == "neveu":
-        return (math.exp(j * spec.t) - 1.0) * kg
-    return ((-1) ** j) * (1.0 - math.exp(-j * spec.t)) * kg
+    if spec.which == "mittag-leffler":
+        return ((-1) ** j) * (1.0 - math.exp(-j * spec.t)) * kg
+    try:
+        value = (math.exp(j * spec.t) - 1.0) * kg
+    except OverflowError:
+        value = math.inf
+    if value == math.inf:
+        raise NumericInstabilityError(f"log-cumulant {j} at t = {spec.t!r} exceeds the float range")
+    return value
 
 
 def siegmund_duality_gap(
@@ -194,7 +209,7 @@ def siegmund_duality_gap(
     """
     if reps < 1:
         raise ValueError(f"need at least one replicate, got {reps}")
-    if x < 0 or y < 0 or t <= 0:
+    if not (x >= 0 and y >= 0 and t > 0):
         raise ValueError("need x, y >= 0 and t > 0")
     tp = TimePoint.from_time(t)
     xs = sample_mittag_leffler(tp, rng, size=reps)
@@ -209,7 +224,7 @@ def siegmund_duality_gap(
 
 def check_pow_inequality(x: float, alpha: float) -> bool:
     """(1 - e^{-x})^alpha >= 1 - e^{-x^alpha} up to a 1e-12 equality margin."""
-    if x < 0 or not (0.0 <= alpha <= 1.0):
+    if not (x >= 0 and 0.0 <= alpha <= 1.0):
         raise ValueError("need x >= 0 and alpha in [0, 1]")
     # expm1 keeps tiny x from rounding 1 - e^{-x} to zero; 0**0 == 1
     # covers the corner points.

@@ -199,7 +199,6 @@ def sample_absorption_times(n: int, i: int, reps: int, rng: np.random.Generator)
 # phi(w) = polyval(_STIRLING, w^-2) / w up to the w^-11 term
 _STIRLING = (-691 / 360360, 1 / 1188, -1 / 1680, 1 / 1260, -1 / 360, 1 / 12)
 _INT64_MAX = int(np.iinfo(np.int64).max)
-_GUIDE = 1024  # buckets of the guide table
 _ROUND = 1 << 16  # array entries per round of a sampler: 512 KiB of int64 or float64
 
 
@@ -231,39 +230,21 @@ def _sibuya_tail(alpha: float, v: np.ndarray, cap: int | None = None) -> np.ndar
     return x if cap is None else np.minimum(x, cap)
 
 
-def _sibuya_inverse(alpha: float):
-    """The Sibuya(alpha) quantile given X >= 2 as a function of uniforms,
-    tables built once.
+def _sibuya_above_one(cdf: np.ndarray, r: np.ndarray, cap: int) -> np.ndarray:
+    """The Sibuya quantile given X >= 2 as a function of uniforms, capped at cap.
 
-    quantile(r, cap=None) maps each r in [0, 1) to the smallest x >= 1 with
-    P(X <= x) >= alpha + (1 - alpha) r, as int64 (alpha = P(X = 1), so the
-    draw is X given X >= 2 except at r = 0).  The 32-entry table is read
-    through a guide table of equal buckets of u over [alpha, 1], which
-    starts each lookup a few entries below its answer (Chen & Asau 1974);
-    past the table ``_sibuya_tail`` inverts.  With a cap the draws are
-    min(x, cap); without one a draw past 2^63 - 1 raises OverflowError.
+    cdf is the cumulative 32-entry table, so cdf[0] = alpha = P(X = 1).  Each r
+    in [0, 1) maps to min(x, cap) for the smallest x >= 1 with P(X <= x) >=
+    alpha + (1 - alpha) r, as int64: the draw is X given X >= 2 except at
+    r = 0.  One binary search reads the table; past it ``_sibuya_tail`` inverts.
     """
-    cdf = np.append(np.cumsum(_sibuya_pmf(alpha)), np.inf)  # the sentinel stops every walk at 32
-    scale = _GUIDE / (1.0 - alpha)
-    # guide[b] counts the entries in buckets below b; the bucket is nondecreasing
-    # in u, so the answer for u in bucket b lies between guide[b] and guide[b + 1]
-    edges = ((cdf[:32] - alpha) * scale).astype(np.intp)
-    guide = np.repeat(np.arange(33, dtype=np.int64), np.diff(edges, prepend=-1, append=_GUIDE + 1))
-    span = int(np.diff(guide).max())
-
-    def quantile(r: np.ndarray, cap: int | None = None) -> np.ndarray:
-        u = alpha + (1.0 - alpha) * r
-        out = guide[((u - alpha) * scale).astype(np.intp)]
-        for _ in range(span):
-            out += cdf[out] < u
-        tail = np.flatnonzero(out == 32)
-        out += 1
-        if tail.size:
-            # 1 - u without the rounding of u: 1 - r is exact on the 2^-53 grid of rng.random
-            out[tail] = _sibuya_tail(alpha, (1.0 - alpha) * (1.0 - r[tail]), cap)
-        return out if cap is None else np.minimum(out, cap)
-
-    return quantile
+    alpha = cdf[0]
+    x = np.searchsorted(cdf, alpha + (1.0 - alpha) * r) + 1
+    tail = np.flatnonzero(x == 33)
+    if tail.size:
+        # 1 - u without the rounding of u: 1 - r is exact on the 2^-53 grid of rng.random
+        x[tail] = _sibuya_tail(alpha, (1.0 - alpha) * (1.0 - r[tail]), cap)
+    return np.minimum(x, cap)
 
 
 def sample_block_marginal(n: int, t: float, reps: int, rng: np.random.Generator) -> np.ndarray:
@@ -287,7 +268,7 @@ def sample_block_marginal(n: int, t: float, reps: int, rng: np.random.Generator)
         return np.full(reps, n, dtype=np.int64)
     if alpha == 0.0:
         return np.ones(reps, dtype=np.int64)
-    above_one = _sibuya_inverse(alpha)
+    cdf = np.cumsum(_sibuya_pmf(alpha))
     out = np.empty(reps, dtype=np.int64)
     rows = np.arange(reps)
     steps = np.zeros(reps, dtype=np.int64)  # draws so far
@@ -300,7 +281,7 @@ def sample_block_marginal(n: int, t: float, reps: int, rng: np.random.Generator)
         out[rows[inside]] = steps[inside] + need[inside]
         go = ~inside
         rows, steps, need = rows[go], steps[go] + gap[go], need[go] - gap[go] + 1
-        need -= np.maximum(above_one(rng.random(rows.size), cap=n), 2)
+        need -= np.maximum(_sibuya_above_one(cdf, rng.random(rows.size), n), 2)
         cross = need <= 0
         out[rows[cross]] = steps[cross]
         rows, steps, need = rows[~cross], steps[~cross], need[~cross]

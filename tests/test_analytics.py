@@ -460,6 +460,21 @@ class TestEdgeworth:
                 assert abs(edgeworth_cdf(1000, 3, x, K)) < 1e-150
             assert edgeworth_d(K, 3, -6.9) == 0.0
 
+    @pytest.mark.parametrize("n, i, x, K", [(1000, 100, 3.0, 0), (1000, 100, 0.5, 3), (1000, 60, 3.0, 0)])
+    def test_cancelling_sum_raises(self, n, i, x, K):
+        # summed anyway, these give -9.8e11, -219 and -1.8: the alternating
+        # Gumbel-min terms reach 1e-9 times 2^52 and more
+        with pytest.raises(NumericInstabilityError, match="rounding bound"):
+            edgeworth_cdf(n, i, x, K)
+        with pytest.raises(NumericInstabilityError, match="rounding bound"):
+            edgeworth_d(K, i, x)
+
+    def test_rounding_bound_holds_below_onset(self):
+        # the bound at i = 20, x = 3 is about 1.4e-10: the value is returned, within it
+        for K in (0, 3, 6):
+            assert edgeworth_cdf(1000, 20, 3.0, K) == pytest.approx(1.0, abs=1e-3)
+        assert edgeworth_cdf(1000, 20, 3.0, 0) == pytest.approx(gumbel_limit_cdf(20, 3.0), abs=1e-9)
+
     def test_nan_x_raises(self):
         for call in (
             lambda: edgeworth_d(1, 2, math.nan),

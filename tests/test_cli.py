@@ -281,6 +281,35 @@ class TestExitCodes:
         assert captured.err.startswith("numeric instability:")
         assert "Traceback" not in captured.err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["limits", "--method", "moment", "--t", "1", "--x", "1000"],
+            ["limits", "--method", "moment", "--t", "1", "--x", "inf"],
+            ["limits", "--method", "log-cumulant-neveu", "--t", "400", "--K", "2"],
+            ["edgeworth", "--n", "1000", "--i", "100", "--x", "3", "--K", "0"],
+            ["edgeworth", "--n", "1000", "--i", "100", "--x", "0.5", "--K", "3"],
+            ["edgeworth", "--n", "1000", "--i", "60", "--x", "3", "--K", "0"],
+        ],
+    )
+    def test_past_float_range_or_cancelling_exit_one(self, capsys, argv):
+        assert run(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("numeric instability:")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["limits", "--method", "moment", "--t", "1", "--x", "nan"],
+            ["limits", "--method", "log-cumulant-neveu", "--t", "nan"],
+        ],
+    )
+    def test_limits_nan_exit_two(self, capsys, argv):
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error:")
+
     def test_converge_tol_failure_exit_one(self, capsys):
         code = run(["converge", "--method", "block", "--n", "50", "--t", "1.0",
                     "--reps", "100", "--seed", "1", "--tol", "0.0001"])

@@ -1,11 +1,15 @@
 """Exact combinatorics: Stirling tables, generalized binomials, signed log-gamma."""
 
 import math
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bscoal import combinatorics
 from bscoal.combinatorics import (
     DEFAULT_NMAX,
     general_binomial,
@@ -68,6 +72,35 @@ def test_row_sums():
     for n in range(0, 21):
         assert sum(abs(stirling_first(n, k)) for k in range(n + 1)) == math.factorial(n)
         assert sum(stirling_second(n, k) for k in range(n + 1)) == BELL[n]
+
+
+def test_concurrent_growth_matches_single_thread(monkeypatch):
+    # four threads grow both tables from row 0 to different n at once
+    def rows(top):
+        return [(stirling_first(n, k), stirling_second(n, k)) for n in range(top + 1) for k in range(n + 1)]
+
+    tops = (60, 130, 200, DEFAULT_NMAX)
+    monkeypatch.setattr(combinatorics, "_first_rows", [[1]])
+    monkeypatch.setattr(combinatorics, "_second_rows", [[1]])
+    want = rows(DEFAULT_NMAX)
+    monkeypatch.setattr(combinatorics, "_first_rows", [[1]])
+    monkeypatch.setattr(combinatorics, "_second_rows", [[1]])
+    start = threading.Barrier(len(tops))
+
+    def grow(top):
+        start.wait(timeout=60)
+        return rows(top)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, inside the growth of a row too
+    try:
+        with ThreadPoolExecutor(len(tops)) as pool:
+            got = list(pool.map(grow, tops, timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    for top, values in zip(tops, got):
+        assert values == want[: len(values)], top
+    assert len(combinatorics._first_rows) == len(combinatorics._second_rows) == DEFAULT_NMAX + 1
 
 
 def test_general_binomial_matches_comb():

@@ -11,10 +11,11 @@ the exact kernels under it, so a kernel that falls back to it fails.
 
 The block survival sum and the Edgeworth point do their float arithmetic
 in one pass, with no helper call per term.  Their references below are
-the same sums written with ``signed_log_gamma``, ``math.comb`` and
-``edgeworth_d`` per term: every float must be bit-identical and every
-raise of the same type, and a second guard test makes those helpers raise
-under the kernels.  (The hitting quadrature has its per-node reference in
+the same sums written with ``signed_log_gamma`` and ``math.comb`` per
+term: every float must be bit-identical and every raise of the same type
+(the Edgeworth references raise on the same rounding bound as the
+library), and a second guard test makes those helpers raise under the
+kernels.  (The hitting quadrature has its per-node reference in
 ``test_analytics.py``.)
 """
 
@@ -156,6 +157,18 @@ def block_tail_reference(n: int, i: int, alpha: float) -> float:
     return min(max(val, 0.0), 1.0)
 
 
+def _gumbel_min_reference_terms(k: int, i: int, x: float) -> list[float]:
+    # F^j (-1)^{j-1} C(i,j) j^k for j = 1..i, with F the Gumbel CDF at x
+    F = math.exp(-math.exp(-x))
+    return [(F**j) * ((-1) ** (j - 1)) * math.comb(i, j) * (j**k) for j in range(1, i + 1)]
+
+
+def _check_rounding_reference(abs_sum: float) -> None:
+    # the alternating sums may be off by 2^-52 times the sum of their absolute terms
+    if abs_sum * 2.0**-52 > 1e-9:
+        raise NumericInstabilityError(f"rounding bound {abs_sum * 2.0**-52} exceeds 1e-9")
+
+
 def edgeworth_d_reference(k: int, i: int, x: float) -> float:
     # sum_{j=1..i} F^j (-1)^{j-1} C(i,j) j^k with F the Gumbel CDF at x
     if k < 0 or i < 1:
@@ -164,10 +177,9 @@ def edgeworth_d_reference(k: int, i: int, x: float) -> float:
         raise ValueError(f"x must be a number, got x = {x}")
     if x <= -7.0:
         return 0.0
-    F = math.exp(-math.exp(-x))
-    return math.fsum(
-        (F**j) * ((-1) ** (j - 1)) * math.comb(i, j) * (j**k) for j in range(1, i + 1)
-    )
+    terms = _gumbel_min_reference_terms(k, i, x)
+    _check_rounding_reference(math.fsum(map(abs, terms)))
+    return math.fsum(terms)
 
 
 def edgeworth_cdf_reference(n: int, i: int, x: float, K: int) -> float:
@@ -182,9 +194,13 @@ def edgeworth_cdf_reference(n: int, i: int, x: float, K: int) -> float:
     if x == math.inf:
         return 1.0
     ln = math.log(n)
-    return math.fsum(
-        c[k] * edgeworth_d_reference(k, i, x) * math.exp(-k * x) / ln**k for k in range(K + 1)
-    )
+    parts, abs_sum = [], 0.0
+    for k in range(K + 1):
+        terms = _gumbel_min_reference_terms(k, i, x)
+        parts.append(c[k] * math.fsum(terms) * math.exp(-k * x) / ln**k)
+        abs_sum += abs(c[k]) * math.exp(-k * x) / ln**k * math.fsum(map(abs, terms))
+    _check_rounding_reference(abs_sum)
+    return math.fsum(parts)
 
 
 def outcome(fn, *args) -> str:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bscoal.analytics import TimePoint
+from bscoal.analytics import NumericInstabilityError, TimePoint
 from bscoal.limits import (
     LogProcess,
     check_pow_inequality,
@@ -43,6 +43,21 @@ class TestMoments:
     def test_domain(self):
         with pytest.raises(ValueError):
             ml_moment(TimePoint.from_time(1.0), -1.0)
+
+    def test_nan_order_raises(self):
+        with pytest.raises(ValueError):
+            ml_moment(TimePoint.from_time(1.0), math.nan)
+
+    def test_infinite_order_raises(self):
+        with pytest.raises(NumericInstabilityError):
+            ml_moment(TimePoint.from_time(1.0), math.inf)
+
+    def test_past_float_range_raises(self):
+        # Gamma(301) / Gamma(1 + 300 / e) is about 1e540
+        tp = TimePoint.from_time(1.0)
+        assert math.isfinite(ml_moment(tp, 150.0))
+        with pytest.raises(NumericInstabilityError):
+            ml_moment(tp, 300.0)
 
 
 class TestSamplers:
@@ -229,6 +244,11 @@ class TestLaplaceRecursion:
         with pytest.raises(ValueError):
             neveu_laplace_fd([], [])
 
+    def test_nan_raises(self):
+        for times, lams in (([math.nan], [1.0]), ([0.5, math.nan], [1.0, 1.0]), ([0.5], [math.nan])):
+            with pytest.raises(ValueError):
+                neveu_laplace_fd(times, lams)
+
 
 class TestLogCumulants:
     def test_first_cumulant_neveu(self):
@@ -258,6 +278,17 @@ class TestLogCumulants:
         with pytest.raises(ValueError):
             log_cumulant(LogProcess("neveu", 1.0), 0)
 
+    def test_nan_time_raises(self):
+        with pytest.raises(ValueError):
+            LogProcess("neveu", math.nan)
+
+    def test_stable_past_float_range_raises(self):
+        # e^800 overflows; the Mittag-Leffler cumulant stays bounded
+        for t in (800.0, math.inf):
+            with pytest.raises(NumericInstabilityError):
+                log_cumulant(LogProcess("neveu", t), 1)
+        assert log_cumulant(LogProcess("mittag-leffler", 800.0), 1) == -EULER_GAMMA
+
 
 class TestDuality:
     def test_gap_near_zero(self):
@@ -267,6 +298,11 @@ class TestDuality:
     def test_x_zero_trivial(self):
         gap = siegmund_duality_gap(0.0, 1.0, 1.0, 1000, replicate_rng(108))
         assert gap == 0.0
+
+    def test_nan_raises(self):
+        for x, y, t in ((math.nan, 1.0, 1.0), (1.0, math.nan, 1.0), (1.0, 1.0, math.nan)):
+            with pytest.raises(ValueError):
+                siegmund_duality_gap(x, y, t, 10, replicate_rng(110))
 
     @pytest.mark.parametrize("t", [6.0, 20.0])
     def test_gap_near_zero_past_float_range(self, t):
@@ -294,3 +330,8 @@ class TestPowInequality:
             check_pow_inequality(-1.0, 0.5)
         with pytest.raises(ValueError):
             check_pow_inequality(1.0, 1.5)
+
+    def test_nan_raises(self):
+        for x, alpha in ((math.nan, 0.5), (1.0, math.nan)):
+            with pytest.raises(ValueError):
+                check_pow_inequality(x, alpha)

@@ -28,7 +28,7 @@ from bscoal.simulate import (
     simulate_block,
     simulate_fixation,
 )
-from bscoal.simulate import _block_decrement, _sibuya_inverse, _sibuya_tail
+from bscoal.simulate import _block_decrement, _sibuya_above_one, _sibuya_tail
 
 # chi-square critical value at p = 0.001, df = 9 (frozen table value)
 CHI2_CRIT_9_999 = 27.877
@@ -309,9 +309,9 @@ class TestBlockMarginalByDuality:
         r = np.array([np.nextafter(1.0, 0.0)])
         assert math.exp(-0.5) + (1 - math.exp(-0.5)) * r[0] == 1.0
         for t in (0.5, 1.0, 3.0):
-            above_one = _sibuya_inverse(math.exp(-t))
-            assert above_one(r, cap=50).tolist() == [50]
-            assert above_one(r, cap=10**12).tolist() == [10**12]
+            cdf = _table_cdf(math.exp(-t))
+            assert _sibuya_above_one(cdf, r, 50).tolist() == [50]
+            assert _sibuya_above_one(cdf, r, 10**12).tolist() == [10**12]
 
 
 def _table_cdf(alpha):
@@ -322,19 +322,24 @@ def _table_cdf(alpha):
 class TestStateOneTable:
     @pytest.mark.parametrize("t", [0.01, 0.5, 1.0, 1.5, 3.0, 10.0])
     def test_guide_table_matches_binary_search(self, t):
+        # the lookup against a linear scan for the first x whose cdf entry is >= u,
+        # 33 past the table; u on a knot or next to one pins the side of the search
         alpha = math.exp(-t)
         cdf = _table_cdf(alpha)
-        knots = np.concatenate((cdf, np.nextafter(cdf, 0.0), np.nextafter(cdf, 1.0)))
-        u = np.concatenate((replicate_rng(35).random(10**6), knots[knots < 1.0], [0.0]))
-        # given X >= 2, the guide spans [alpha, 1]
-        r = np.concatenate((u, (knots[knots >= alpha] - alpha) / (1.0 - alpha)))
-        r = r[r < 1.0]
-        want = np.searchsorted(cdf, alpha + (1.0 - alpha) * r, side="left") + 1
+        knots = cdf[cdf >= alpha]
+        # given X >= 2, u = alpha + (1 - alpha) r spans [alpha, 1]
+        r0 = (np.concatenate((knots, np.nextafter(knots, 0.0), np.nextafter(knots, 1.0))) - alpha) / (1 - alpha)
+        r = np.concatenate((replicate_rng(35).random(10**4), r0, np.nextafter(r0, 0.0), np.nextafter(r0, 1.0), [0.0]))
+        r = r[(r >= 0.0) & (r < 1.0)]
+        u = (alpha + (1.0 - alpha) * r).tolist()
+        table = cdf.tolist()
+        assert len(set(u) & set(table)) >= 10
+        want = np.array([next((x for x, c in enumerate(table, 1) if c >= v), 33) for v in u])
         # the cap keeps t = 10 (almost every draw past 1e9) from overflowing int64
-        got = _sibuya_inverse(alpha)(r, cap=10**6)
-        table = want <= 32
-        assert np.array_equal(got[table], want[table])
-        assert got[~table].min(initial=33) >= 33
+        got = _sibuya_above_one(cdf, r, 10**6)
+        inside = want <= 32
+        assert np.array_equal(got[inside], want[inside])
+        assert got[~inside].min(initial=33) >= 33
 
     @pytest.mark.parametrize("n, t, reps", [(3, 1.0, 1000), (3, 0.5, 200_000)])
     def test_chunks_read_one_uniform_stream(self, n, t, reps, monkeypatch):
@@ -464,7 +469,7 @@ class TestStateOneInverse:
         levels = 10.0 ** np.arange(1.6, 15.01, 0.45)
         # the table given X >= 2, as the block sampler reads it
         r = [0.01, 0.2, 0.21, 0.4, 0.55]
-        x = _sibuya_inverse(a)(np.array(r))
+        x = _sibuya_above_one(_table_cdf(a), np.array(r), 10**12)
         assert x.dtype == np.int64
         for xi, ri in zip(x.tolist(), r):
             assert xi == self._oracle(ri, t, mass=1.0 - a), (ri, xi)
@@ -489,7 +494,7 @@ class TestStateOneInverse:
         a = math.exp(-t)
         levels = 10.0 ** np.arange(1.6, 10.01, 0.4)
         r = [1.0 - round(x**-a / math.gamma(1 - a) / (1 - a) * 2.0**53) / 2.0**53 for x in levels]
-        x = _sibuya_inverse(a)(np.array(r), cap=10**12)
+        x = _sibuya_above_one(_table_cdf(a), np.array(r), 10**12)
         for xi, ri in zip(x.tolist(), r):
             assert xi == self._oracle(ri, t, mass=1.0 - a), (ri, xi)
 
