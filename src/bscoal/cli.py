@@ -161,15 +161,14 @@ def _cmd_limits(args) -> int:
     from .limits import LogProcess, log_cumulant, ml_moment, sample_mittag_leffler, sample_neveu
     from .simulate import replicate_rng
 
-    tp = TimePoint.from_time(args.t)
     if args.method in ("sample-mittag-leffler", "sample-neveu"):
         rng = replicate_rng(args.seed)
         sampler = sample_mittag_leffler if args.method == "sample-mittag-leffler" else sample_neveu
-        values = sampler(tp, rng, size=args.reps).tolist()
+        values = sampler(TimePoint.from_time(args.t), rng, size=args.reps).tolist()
         _emit_rows(args.format, ["value"], [[v] for v in values], json_key="values")
         return 0
     if args.method == "moment":
-        value = ml_moment(tp, args.x)
+        value = ml_moment(TimePoint.from_time(args.t), args.x)
         _emit_record(args.format, {"t": args.t, "m": args.x, "value": value})
         return 0
     # cumulant of the log marginal

@@ -143,7 +143,8 @@ def neveu_laplace_fd(times: Sequence[float], lambdas: Sequence[float]) -> float:
     """Joint Laplace transform E exp(-sum_k lam_k Y_{t_k}) by backward recursion.
 
     Each step folds the last argument into the previous one through the
-    conditional transform exponent alpha_k / alpha_{k-1}.
+    conditional transform exponent alpha_k / alpha_{k-1} = exp(t_{k-1} - t_k),
+    formed from the time gap, so that no 0/0 arises where alpha_k underflows.
     """
     times = [float(t) for t in times]
     lams = [float(v) for v in lambdas]
@@ -155,12 +156,11 @@ def neveu_laplace_fd(times: Sequence[float], lambdas: Sequence[float]) -> float:
         raise ValueError("times must be strictly increasing")
     if not times[0] >= 0:
         raise ValueError("times must be nonnegative numbers")
-    alphas = [math.exp(-t) for t in times]
     while len(lams) > 1:
-        lk = lams.pop()
-        ak = alphas.pop()
-        lams[-1] = lams[-1] + lk ** (ak / alphas[-1])
-    return math.exp(-(lams[0] ** alphas[0]))
+        lk, tk = lams.pop(), times.pop()
+        if lk:  # 0^e is 0, also where e underflows to 0
+            lams[-1] += lk ** math.exp(times[-1] - tk)
+    return math.exp(-(lams[0] ** math.exp(-times[0]))) if lams[0] else 1.0
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,10 @@ Randomness contract: every function takes an explicit
 ``numpy.random.Generator``; replicate-indexed work uses PCG64 streams
 derived deterministically from ``(seed, replicate_index)`` via
 ``replicate_rng``, so results are bitwise reproducible for a fixed seed
-and independent across replicates.
+and independent across replicates.  A single trajectory draws its
+holding times and jump uniforms in blocks of fixed size (64 exponentials,
+then 64 uniforms), so a seed gives a fixed path stream, different from
+that of one scalar draw of each per jump.
 """
 
 from __future__ import annotations
@@ -84,11 +87,29 @@ def _block_decrement(i, v):
     return np.clip(d, 1, i - 1)
 
 
-def _fixation_increment(rng: np.random.Generator, size=None):
-    """Jump size of the fixation line: floor(1/U) has exactly the law
+def _block_step(i: int, v: float) -> int:
+    """``_block_decrement`` for one state i and one uniform v, on Python
+    numbers: the same floats, rounded up and clipped to 1..i-1."""
+    x = v * (i - 1)
+    return min(max(math.ceil(x / (i - x)), 1), i - 1)
+
+
+def _fixation_increment(rng: np.random.Generator, size: int) -> np.ndarray:
+    """size jumps of the fixation line: floor(1/U) has exactly the law
     P(m) = 1/(m (m+1))."""
     u = 1.0 - rng.random(size)  # in (0, 1]
     return np.floor(1.0 / u)
+
+
+_PATH_BLOCK = 64  # draws per refill of a trajectory's randomness
+
+
+def _path_draws(rng: np.random.Generator):
+    """Endless (exponential, uniform) pairs for a trajectory, as Python floats:
+    each refill draws _PATH_BLOCK standard exponentials, then _PATH_BLOCK
+    uniforms."""
+    while True:
+        yield from zip(rng.standard_exponential(_PATH_BLOCK).tolist(), rng.random(_PATH_BLOCK).tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -106,12 +127,13 @@ def simulate_block(n: int, horizon: float, rng: np.random.Generator) -> PathSamp
     states = [n]
     t = 0.0
     i = n
+    draws = _path_draws(rng)
     while i > 1:
-        t += rng.exponential() / (i - 1)
+        e, u = next(draws)
+        t += e / (i - 1)
         if t > horizon:
             break
-        d = int(_block_decrement(float(i), 1.0 - rng.random()))
-        i -= d
+        i -= _block_step(i, 1.0 - u)
         times.append(t)
         states.append(i)
     return PathSample("block", n, np.asarray(times), np.asarray(states, dtype=np.int64))
@@ -128,9 +150,11 @@ def simulate_fixation(n: int, state_cap: int, rng: np.random.Generator) -> PathS
     states = [n]
     t = 0.0
     i = n
+    draws = _path_draws(rng)
     while i <= state_cap:
-        t += rng.exponential() / i
-        i += int(_fixation_increment(rng))
+        e, u = next(draws)
+        t += e / i
+        i += math.floor(1.0 / (1.0 - u))  # as _fixation_increment
         times.append(t)
         states.append(i)
     return PathSample("fixation", n, np.asarray(times), np.asarray(states, dtype=np.int64))
@@ -149,16 +173,13 @@ def estimate_hitting(i: int, j: int, reps: int, rng: np.random.Generator) -> Est
         raise ValueError(f"need reps >= 1, got {reps}")
     if i == j:
         return EstimateWithError(1.0, 0.0, reps)
-    states = np.full(reps, i, dtype=np.int64)
-    hit = np.zeros(reps, dtype=bool)
-    while True:
-        active = states < j
-        if not active.any():
-            break
-        inc = _fixation_increment(rng, size=int(active.sum())).astype(np.int64)
-        states[active] += inc
-        hit |= states == j
-    p = float(hit.mean())
+    states = np.full(reps, i, dtype=np.int64)  # the chains still below j, in index order
+    hits = 0
+    while states.size:
+        states += _fixation_increment(rng, states.size).astype(np.int64)
+        hits += int(np.count_nonzero(states == j))
+        states = states[states < j]
+    p = hits / reps
     se = math.sqrt(p * (1.0 - p) / reps)
     return EstimateWithError(p, se, reps)
 
@@ -221,12 +242,32 @@ def _sibuya_tail(alpha: float, v: np.ndarray, cap: int | None = None) -> np.ndar
         z = np.minimum(z, cap + 1.0)  # a quantile past cap + 1 is past cap
     elif not z.max() < 2.0**63:
         raise OverflowError(f"fixation draw past 2^63 - 1 at alpha = {alpha!r}")
-    # log P(X >= z) = log Gamma(z - alpha) - log Gamma(z) - log Gamma(1 - alpha), by Stirling
+    # log P(X >= z) = log Gamma(z - alpha) - log Gamma(z) - log Gamma(1 - alpha), by Stirling:
+    # log_ge below plus phi(w) - phi(z), w = z - alpha
     w = z - alpha
     log_ge = (w - 0.5) * np.log1p(-alpha / z) - alpha * np.log(z) + alpha - math.lgamma(1.0 - alpha)
-    log_ge += np.polyval(_STIRLING, 1.0 / (w * w)) / w - np.polyval(_STIRLING, 1.0 / (z * z)) / z
+    log_v = np.log(v)
+    # The series is added only where it can change the comparison with log v.
+    # The rounded w has z - 1 <= w and z - w <= 2 alpha, and on w >= 1 the
+    # series has |phi'(w)| <= 1/(12 w^2), so |phi(w) - phi(z)| <= 2 alpha /
+    # (12 (z - 1)^2) for z >= 2.  Its float value is off by less than
+    # 2^-48 / (z - 1), and the final rounding of log_ge by at most an ulp of
+    # log v: farther from log v than the sum of the three (the first taken
+    # 1.5 times), the sign is settled.  z < 2 happens only where rounding
+    # puts v Gamma(1 - alpha) at 1 or above (alpha below about 1e-13): at
+    # z = 1 the bound is inf, or NaN at alpha = 0, where w = z.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q = 1.0 / (z - 1.0)
+        bound = q * (0.25 * alpha)  # in place: a temporary costs about as much as the arithmetic
+        bound += 2.0**-48
+        bound *= q
+        bound -= 2.0**-50 * log_v
+    near = np.flatnonzero(np.abs(log_ge - log_v) <= bound)
+    if near.size:
+        wn, zn = w[near], z[near]
+        log_ge[near] += np.polyval(_STIRLING, 1.0 / (wn * wn)) / wn - np.polyval(_STIRLING, 1.0 / (zn * zn)) / zn
     # v <= P(X > 32) places every draw past 32; rounding must not undo it
-    x = np.maximum(z.astype(np.int64) - (log_ge <= np.log(v)), 33)
+    x = np.maximum(z.astype(np.int64) - (log_ge <= log_v), 33)
     return x if cap is None else np.minimum(x, cap)
 
 

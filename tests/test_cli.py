@@ -11,6 +11,7 @@ import pytest
 
 from bscoal.analytics import TimePoint
 from bscoal.cli import _fmt, run
+from bscoal.combinatorics import EULER_GAMMA
 from bscoal.limits import sample_mittag_leffler
 from bscoal.simulate import replicate_rng, simulate_block
 from bscoal.spectral import GeneratorKind, closed_form_decomposition
@@ -297,6 +298,16 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("numeric instability:")
+
+    def test_log_cumulant_ml_past_alpha_underflow(self, capsys):
+        # the log-cumulant methods build no TimePoint, so e^-t = 0 is no error
+        assert run(["limits", "--method", "log-cumulant-ml", "--t", "800", "--K", "1", "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["value"] == -EULER_GAMMA
+
+    def test_log_cumulant_neveu_past_float_range_exit_one(self, capsys):
+        assert run(["limits", "--method", "log-cumulant-neveu", "--t", "800", "--K", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("numeric instability:")
 
     @pytest.mark.parametrize(
         "argv",

@@ -249,6 +249,18 @@ class TestLaplaceRecursion:
             with pytest.raises(ValueError):
                 neveu_laplace_fd(times, lams)
 
+    def test_past_alpha_underflow(self):
+        # from t of about 745 on e^-t underflows to 0; the exponents come from time gaps
+        assert neveu_laplace_fd([800.0, 801.0], [1.0, 1.0]) == pytest.approx(math.exp(-1.0), abs=1e-12)
+        values = [neveu_laplace_fd([t, t + 1.0], [2.0, 3.0]) for t in np.linspace(740.0, 750.0, 101)]
+        assert max(abs(a - b) for a, b in zip(values, values[1:])) <= 1e-12
+        assert values[-1] == pytest.approx(math.exp(-1.0), abs=1e-12)
+
+    def test_zero_weight_past_alpha_underflow(self):
+        # 0^e = 0 for every e > 0, so a zero weight drops out at any time
+        assert neveu_laplace_fd([800.0], [0.0]) == 1.0
+        assert neveu_laplace_fd([0.0, 900.0], [1.0, 0.0]) == neveu_laplace_fd([0.0], [1.0])
+
 
 class TestLogCumulants:
     def test_first_cumulant_neveu(self):

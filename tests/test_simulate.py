@@ -28,7 +28,7 @@ from bscoal.simulate import (
     simulate_block,
     simulate_fixation,
 )
-from bscoal.simulate import _block_decrement, _sibuya_above_one, _sibuya_tail
+from bscoal.simulate import _STIRLING, _block_decrement, _block_step, _sibuya_above_one, _sibuya_tail
 
 # chi-square critical value at p = 0.001, df = 9 (frozen table value)
 CHI2_CRIT_9_999 = 27.877
@@ -48,7 +48,8 @@ class TestJumpLaws:
 
     def test_block_inverse_transform_matches_pmf(self):
         # the closed-form inverse transform must send the midpoint of each
-        # cdf interval to the matching decrement
+        # cdf interval to the matching decrement, in the vectorized form and
+        # in the scalar form of the path loop
         for i in range(2, 61):
             pmf = block_decrement_pmf(i)
             cdf = [Fraction(0)]
@@ -57,6 +58,8 @@ class TestJumpLaws:
             for m in range(1, i):
                 mid = float((cdf[m - 1] + cdf[m]) / 2)
                 assert int(_block_decrement(float(i), mid)) == m
+                step = _block_step(i, mid)
+                assert type(step) is int and step == m
 
     def test_fixation_increment_chi_square(self):
         rng = replicate_rng(11)
@@ -105,6 +108,58 @@ class TestPaths:
     def test_path_sample_shape_check(self):
         with pytest.raises(ValueError):
             PathSample("block", 3, np.array([0.5]), np.array([3]))
+
+
+class ScalarCall(Exception):
+    pass
+
+
+class _NoScalarDraws:
+    """Delegates to a Generator; a draw of one scalar (no size) raises."""
+
+    def __init__(self, rng):
+        self.rng = rng
+
+    def random(self, size=None):
+        if size is None:
+            raise ScalarCall
+        return self.rng.random(size)
+
+    def exponential(self, scale=1.0, size=None):
+        if size is None:
+            raise ScalarCall
+        return self.rng.exponential(scale, size)
+
+    def standard_exponential(self, size=None):
+        if size is None:
+            raise ScalarCall
+        return self.rng.standard_exponential(size)
+
+
+def test_path_loops_call_no_numpy_scalars(monkeypatch):
+    # a path draws its randomness in blocks and steps on Python floats
+    want_block = simulate_block(1000, 1.0, replicate_rng(17))
+    want_fix = [simulate_fixation(1, 50, replicate_rng(18, k)) for k in range(20)]
+
+    def forbidden(*args, **kwargs):
+        raise ScalarCall
+
+    for name in ("clip", "ceil", "floor"):
+        monkeypatch.setattr(np, name, forbidden)
+    with pytest.raises(ScalarCall):
+        _block_decrement(3.0, 0.5)
+    with pytest.raises(ScalarCall):
+        _NoScalarDraws(replicate_rng(17)).exponential()
+    path = simulate_block(1000, 1.0, _NoScalarDraws(replicate_rng(17)))
+    states, times = path.states, path.jump_times
+    assert states[0] == 1000 and states[-1] >= 1 and (np.diff(states) < 0).all()
+    assert (np.diff(times) > 0).all() and times[-1] <= 1.0
+    assert len(times) > 2 * simulate._PATH_BLOCK  # the blocks refill
+    assert np.array_equal(times, want_block.jump_times) and np.array_equal(states, want_block.states)
+    for k, want in enumerate(want_fix):
+        path = simulate_fixation(1, 50, _NoScalarDraws(replicate_rng(18, k)))
+        assert path.states[0] == 1 and path.states[-1] > 50 and (np.diff(path.states) > 0).all()
+        assert np.array_equal(path.states, want.states) and np.array_equal(path.jump_times, want.jump_times)
 
 
 class TestReproducibility:
@@ -351,6 +406,84 @@ class TestStateOneTable:
         again = {}
         assert np.array_equal(sample_fixation_marginal(n, t, reps, replicate_rng(36), again), got)
         assert again == diag and diag["tail_draws"] > 0
+
+
+def _sibuya_tail_full_series(alpha, v, cap=None):
+    """The tail inversion with the Stirling-series difference on every draw:
+    the oracle of ``_sibuya_tail``, which adds it only where it can decide."""
+    with np.errstate(divide="ignore", over="ignore"):
+        z = np.ceil((v * math.gamma(1.0 - alpha)) ** np.divide(-1.0, alpha))
+    if cap is not None:
+        z = np.minimum(z, cap + 1.0)
+    elif not z.max() < 2.0**63:
+        raise OverflowError(f"fixation draw past 2^63 - 1 at alpha = {alpha!r}")
+    w = z - alpha
+    log_ge = (w - 0.5) * np.log1p(-alpha / z) - alpha * np.log(z) + alpha - math.lgamma(1.0 - alpha)
+    log_ge += np.polyval(_STIRLING, 1.0 / (w * w)) / w - np.polyval(_STIRLING, 1.0 / (z * z)) / z
+    x = np.maximum(z.astype(np.int64) - (log_ge <= np.log(v)), 33)
+    return x if cap is None else np.minimum(x, cap)
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except OverflowError:
+        return OverflowError
+
+
+class TestTwoStageTail:
+    @pytest.mark.parametrize("t", [1e-6, 1e-3, 0.1, 0.5, 1.0, 2.0, 5.0])
+    def test_equals_full_series(self, t, monkeypatch):
+        a = math.exp(-t)
+        past = float(np.prod(1.0 - a / np.arange(1.0, 33.0)))  # P(X > 32)
+        rng = replicate_rng(40, round(t * 1e6))
+        u = rng.random(1 << 18)
+        # ties: the float survival of integers past the table, and their neighbours
+        m = np.unique(np.round(np.exp(rng.uniform(math.log(33.0), math.log(1e18), 4096))))
+        w = m - a
+        tie = (w - 0.5) * np.log1p(-a / m) - a * np.log(m) + a - math.lgamma(1.0 - a)
+        tie = np.exp(tie + np.polyval(_STIRLING, 1.0 / (w * w)) / w - np.polyval(_STIRLING, 1.0 / (m * m)) / m)
+        levels = np.concatenate((
+            [past, past * 2.0**-53],
+            past * (1.0 - u[::2]),  # uniform levels, and levels uniform in log down to 2^-53
+            past * 2.0 ** (-53.0 * u[1::2]),
+            tie, np.nextafter(tie, 0.0), np.nextafter(tie, 1.0),
+        ))
+        levels = levels[(levels > 0.0) & (levels <= past)]
+        for cap in (None, 2, 3, 10**6, 2**62):
+            for chunk in np.array_split(levels, 64):
+                want = _outcome(_sibuya_tail_full_series, a, chunk, cap)
+                got = _outcome(_sibuya_tail, a, chunk, cap)
+                if want is OverflowError:
+                    assert got is OverflowError
+                else:
+                    assert got is not OverflowError and got.dtype == want.dtype
+                    assert np.array_equal(got, want)
+        # the series decides some of these draws: without it they would differ
+        monkeypatch.setattr(simulate, "_STIRLING", (0.0,))
+        assert not np.array_equal(_sibuya_tail(a, levels, 2**62), _sibuya_tail_full_series(a, levels, 2**62))
+
+
+def _estimate_hitting_by_masks(i, j, reps, rng):
+    """The hitting estimate with every chain masked in every round: the
+    oracle of ``estimate_hitting``, which keeps only the chains below j."""
+    states = np.full(reps, i, dtype=np.int64)
+    hit = np.zeros(reps, dtype=bool)
+    while True:
+        active = states < j
+        if not active.any():
+            break
+        u = 1.0 - rng.random(int(active.sum()))
+        states[active] += np.floor(1.0 / u).astype(np.int64)
+        hit |= states == j
+    return float(hit.mean())
+
+
+@pytest.mark.parametrize("i, j", [(1, 7), (1, 50), (3, 4)])
+def test_hitting_equals_mask_loop(i, j):
+    rng, oracle_rng = replicate_rng(41, j), replicate_rng(41, j)
+    assert estimate_hitting(i, j, 10**5, rng).value == _estimate_hitting_by_masks(i, j, 10**5, oracle_rng)
+    assert rng.random() == oracle_rng.random()
 
 
 class TestKsDistance:
