@@ -20,7 +20,7 @@ import functools
 import math
 import operator
 import threading
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .combinatorics import (
@@ -58,20 +58,21 @@ class NumericInstabilityError(ArithmeticError):
     """A result left its mathematically required range by more than tolerance."""
 
 
-@dataclass(frozen=True)
-class TimePoint:
+class TimePoint(namedtuple("TimePoint", "t alpha")):
     """Coalescent time t together with alpha = exp(-t), kept consistent."""
 
-    t: float
-    alpha: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.t < 0:
-            raise ValueError(f"time must be nonnegative, got {self.t}")
-        if not (0.0 < self.alpha <= 1.0):
-            raise ValueError(f"alpha must lie in (0, 1], got {self.alpha}")
-        if abs(self.alpha - math.exp(-self.t)) > 1e-12 * max(1.0, self.alpha):
+    def __new__(cls, t: float, alpha: float):
+        if t < 0:
+            raise ValueError(f"time must be nonnegative, got {t}")
+        if not (0.0 < alpha <= 1.0):
+            raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
+        if abs(alpha - math.exp(-t)) > 1e-12 * max(1.0, alpha):
             raise ValueError("alpha and t are inconsistent; use the constructors")
+        return super().__new__(cls, t, alpha)
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace validates too
 
     @classmethod
     def from_time(cls, t: float) -> "TimePoint":
@@ -288,17 +289,58 @@ _RENEWAL_MAX_D = 1000
 _RENEWAL = _RenewalMasses()
 
 
-@functools.cache
-def _gauss_legendre() -> tuple[tuple[float, float, float], ...]:
-    """The 64-node Gauss-Legendre rule mapped to [0, 1], as (x, w, lgamma(x)).
+# numpy.polynomial.legendre.leggauss(64), its 32 positive (node, weight) pairs
+_GL64_POSITIVE = (
+    (0.02435029266342443, 0.048690957009139814),
+    (0.07299312178779904, 0.04857546744150351),
+    (0.12146281929612054, 0.048344762234802996),
+    (0.16964442042399283, 0.04799938859645842),
+    (0.21742364374000708, 0.04754016571483042),
+    (0.2646871622087674, 0.046968182816210076),
+    (0.31132287199021097, 0.04628479658131447),
+    (0.3572201583376681, 0.045491627927418184),
+    (0.4022701579639916, 0.044590558163756566),
+    (0.4463660172534641, 0.04358372452932355),
+    (0.48940314570705296, 0.04247351512365361),
+    (0.5312794640198946, 0.041262563242623576),
+    (0.571895646202634, 0.039953741132720544),
+    (0.6111553551723933, 0.03855015317861564),
+    (0.6489654712546573, 0.03705512854024009),
+    (0.6852363130542333, 0.0354722132568823),
+    (0.7198818501716109, 0.033805161837141794),
+    (0.7528199072605319, 0.032057928354851495),
+    (0.7839723589433414, 0.030234657072402554),
+    (0.8132653151227975, 0.028339672614259535),
+    (0.8406292962525803, 0.02637746971505491),
+    (0.8659993981540928, 0.0243527025687112),
+    (0.8893154459951141, 0.02227017380838297),
+    (0.9105221370785028, 0.020134823153530088),
+    (0.9295691721319396, 0.017951715775697284),
+    (0.9464113748584028, 0.01572603047602503),
+    (0.9610087996520538, 0.01346304789671786),
+    (0.973326827789911, 0.011168139460131028),
+    (0.983336253884626, 0.008846759826363397),
+    (0.9910133714767443, 0.006504457968978502),
+    (0.9963401167719552, 0.004147033260564499),
+    (0.9993050417357722, 0.00178328072169414),
+)
 
-    Built on first use, so that importing this module does not load numpy.
+
+def _gauss_legendre(positive) -> tuple[tuple[float, float, float], ...]:
+    """A Gauss-Legendre rule mapped to [0, 1], as (x, w, lgamma(x)) by ascending x.
+
+    ``positive`` holds the rule's (node, weight) pairs on (0, 1], ascending;
+    the rule is symmetric, so its negative half is the same pairs negated.
+    The stored 64-node pairs are numpy's ``leggauss(64)`` printed by repr:
+    its rule is symmetric bit for bit and maps to [0, 1] the same in Python
+    floats, so the integral route gets numpy's rule without importing numpy.
+    ``test_gauss_legendre_is_numpys_rule`` pins every node and weight.
     """
-    import numpy as np
+    rule = [(-x, w) for x, w in reversed(positive)] + list(positive)
+    return tuple((0.5 * (x + 1.0), 0.5 * w, math.lgamma(0.5 * (x + 1.0))) for x, w in rule)
 
-    nodes, weights = np.polynomial.legendre.leggauss(64)
-    xs = (0.5 * (nodes + 1.0)).tolist()
-    return tuple(zip(xs, (0.5 * weights).tolist(), map(math.lgamma, xs)))
+
+_GAUSS_LEGENDRE = _gauss_legendre(_GL64_POSITIVE)
 
 
 def _hitting_integral(d: int) -> float:
@@ -306,7 +348,7 @@ def _hitting_integral(d: int) -> float:
     # continuously to 0 at x = 0 since 1/Gamma(x) ~ x.
     lgamma, exp = math.lgamma, math.exp
     lg_d1 = lgamma(d + 1.0)
-    return math.fsum([w * exp(lgamma(d + x) - lg_x - lg_d1) for x, w, lg_x in _gauss_legendre()])
+    return math.fsum([w * exp(lgamma(d + x) - lg_x - lg_d1) for x, w, lg_x in _GAUSS_LEGENDRE])
 
 
 def hitting_probability(i: int, j: int, method: HittingMethod = HittingMethod.CONVOLUTION):

@@ -11,15 +11,15 @@ byte-identical when repeated with the same --seed: replicate substreams
 are derived from (seed, index) alone.
 
 numpy is imported only by the subcommands that sample (limits, simulate,
-converge) and by hitting --method integral, whose quadrature nodes come
-from numpy; the closed-form subcommands start without it.
+converge); every closed-form subcommand, hitting --method integral
+included, starts without it.  CSV is written as one comma join per row:
+no field can need quoting, since every cell is a number, a "num/den"
+string, a boolean or a fixed choice string.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import sys
 from fractions import Fraction
@@ -59,23 +59,24 @@ def _fmt(v):
 
 
 def _emit_record(fmt: str, record: dict) -> None:
+    record = {k: _fmt(v) for k, v in record.items()}
     if fmt == "json":
-        print(json.dumps({k: _fmt(v) for k, v in record.items()}))
+        print(json.dumps(record))
     else:
         _emit_rows(fmt, list(record), [list(record.values())])
 
 
-def _emit_rows(fmt: str, header: list[str], rows: list[list], json_key: str = "rows") -> None:
+def _emit_rows(fmt: str, header: list[str], rows, json_key: str = "rows") -> None:
+    """An iterable of rows as CSV or as one JSON object.  CSV cells are
+    written by ``str``, so callers pass Fractions and numpy scalars through
+    ``_fmt`` first."""
     if fmt == "json":
         print(json.dumps({json_key: [[_fmt(v) for v in r] for r in rows], "header": header}))
     else:
-        # one write: under python -u or PYTHONUNBUFFERED a writerow to
-        # stdout is a system call per row
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(header)
-        w.writerows([_fmt(v) for v in r] for r in rows)
-        sys.stdout.write(buf.getvalue())
+        # one write: under python -u or PYTHONUNBUFFERED a write per row
+        # is a system call per row
+        lines = [",".join(header), *[",".join(map(str, r)) for r in rows], ""]
+        sys.stdout.write("\n".join(lines))
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +166,7 @@ def _cmd_limits(args) -> int:
         rng = replicate_rng(args.seed)
         sampler = sample_mittag_leffler if args.method == "sample-mittag-leffler" else sample_neveu
         values = sampler(TimePoint.from_time(args.t), rng, size=args.reps).tolist()
-        _emit_rows(args.format, ["value"], [[v] for v in values], json_key="values")
+        _emit_rows(args.format, ["value"], zip(values), json_key="values")
         return 0
     if args.method == "moment":
         value = ml_moment(TimePoint.from_time(args.t), args.x)
@@ -222,7 +223,7 @@ def _cmd_simulate(args) -> int:
         diagnostics: dict = {}
         values = sample_fixation_marginal(args.n, args.t, args.reps, rng, diagnostics)
         print(json.dumps(diagnostics), file=sys.stderr)
-    _emit_rows(args.format, ["value"], [[v] for v in values.tolist()], json_key="values")
+    _emit_rows(args.format, ["value"], zip(values.tolist()), json_key="values")
     return 0
 
 

@@ -16,7 +16,7 @@ vectorized batch; the random stream is always an explicit
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Sequence
 
 import numpy as np
@@ -163,18 +163,20 @@ def neveu_laplace_fd(times: Sequence[float], lambdas: Sequence[float]) -> float:
     return math.exp(-(lams[0] ** math.exp(-times[0]))) if lams[0] else 1.0
 
 
-@dataclass(frozen=True)
-class LogProcess:
-    """Which logarithmic limit marginal a cumulant refers to."""
+class LogProcess(namedtuple("LogProcess", "which t")):
+    """Which logarithmic limit marginal a cumulant refers to: ``which`` is
+    "mittag-leffler" or "neveu", at time t."""
 
-    which: str  # "mittag-leffler" or "neveu"
-    t: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.which not in ("mittag-leffler", "neveu"):
-            raise ValueError(f"unknown log process {self.which!r}")
-        if not self.t >= 0:
-            raise ValueError(f"time must be nonnegative, got {self.t}")
+    def __new__(cls, which: str, t: float):
+        if which not in ("mittag-leffler", "neveu"):
+            raise ValueError(f"unknown log process {which!r}")
+        if not t >= 0:
+            raise ValueError(f"time must be nonnegative, got {t}")
+        return super().__new__(cls, which, t)
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace validates too
 
 
 def log_cumulant(spec: LogProcess, j: int) -> float:

@@ -24,7 +24,7 @@ that of one scalar draw of each per jump.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Callable, Sequence
 
 import numpy as np
@@ -44,25 +44,26 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PathSample:
-    """One trajectory: states[k] holds on [jump_times[k-1], jump_times[k])."""
+class PathSample(namedtuple("PathSample", "process n jump_times states")):
+    """One trajectory: states[k] holds on [jump_times[k-1], jump_times[k]).
 
-    process: str  # "block" or "fixation"
-    n: int
-    jump_times: np.ndarray
-    states: np.ndarray
+    ``process`` is "block" or "fixation"; both arrays are numpy arrays.
+    """
 
-    def __post_init__(self):
-        if len(self.states) != len(self.jump_times) + 1:
+    __slots__ = ()
+
+    def __new__(cls, process: str, n: int, jump_times: np.ndarray, states: np.ndarray):
+        if len(states) != len(jump_times) + 1:
             raise ValueError("states must have one more entry than jump_times")
+        return super().__new__(cls, process, n, jump_times, states)
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace validates too
 
 
-@dataclass(frozen=True)
-class EstimateWithError:
-    value: float
-    std_error: float
-    reps: int
+class EstimateWithError(namedtuple("EstimateWithError", "value std_error reps")):
+    """A Monte Carlo estimate with its standard error over ``reps`` replicates."""
+
+    __slots__ = ()
 
 
 def replicate_rng(seed: int, index: int = 0) -> np.random.Generator:

@@ -27,11 +27,11 @@ from __future__ import annotations
 import enum
 import math
 import operator
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from typing import Sequence
 
-from .combinatorics import factorial, stirling_first, stirling_second
+from .combinatorics import DEFAULT_NMAX, factorial, stirling_first, stirling_second
 
 __all__ = [
     "GeneratorKind",
@@ -62,22 +62,25 @@ class DegenerateSpectrumError(ValueError):
     """Raised when a recursion requires distinct eigenvalues but got repeats."""
 
 
-@dataclass(frozen=True)
-class TriangularMatrix:
-    """Dense 1-indexed triangular matrix of exact rationals; entries off the triangle are zero."""
+class TriangularMatrix(namedtuple("TriangularMatrix", "n orientation rows")):
+    """Dense 1-indexed triangular matrix of exact rationals; entries off the triangle are zero.
 
-    n: int
-    orientation: str  # "upper" or "lower"
-    rows: tuple[tuple[Fraction, ...], ...]
+    ``orientation`` is "upper" or "lower"; ``rows`` is an n-tuple of n-tuples.
+    """
 
-    def __post_init__(self):
-        if self.orientation not in ("upper", "lower"):
-            raise ValueError(f"orientation must be 'upper' or 'lower', got {self.orientation!r}")
-        if len(self.rows) != self.n or any(len(r) != self.n for r in self.rows):
+    __slots__ = ()
+
+    def __new__(cls, n: int, orientation: str, rows: tuple[tuple[Fraction, ...], ...]):
+        if orientation not in ("upper", "lower"):
+            raise ValueError(f"orientation must be 'upper' or 'lower', got {orientation!r}")
+        if len(rows) != n or any(len(r) != n for r in rows):
             raise ValueError("rows must form an n x n array")
-        upper = self.orientation == "upper"
-        if any(v for i, row in enumerate(self.rows) for v in (row[:i] if upper else row[i + 1 :])):
-            raise ValueError(f"entries outside the {self.orientation} triangle must be zero")
+        upper = orientation == "upper"
+        if any(v for i, row in enumerate(rows) for v in (row[:i] if upper else row[i + 1 :])):
+            raise ValueError(f"entries outside the {orientation} triangle must be zero")
+        return super().__new__(cls, n, orientation, rows)
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace validates too
 
     def entry(self, i: int, j: int) -> Fraction:
         """Entry at 1-based position (i, j)."""
@@ -102,21 +105,16 @@ class TriangularMatrix:
         }
 
 
-@dataclass(frozen=True)
-class SpectralDecomposition:
-    kind: GeneratorKind
-    n: int
-    R: TriangularMatrix
-    D: tuple[Fraction, ...]
-    L: TriangularMatrix
+class SpectralDecomposition(namedtuple("SpectralDecomposition", "kind n R D L")):
+    """Generator ``kind`` truncated at n as R diag(D) L; D is a tuple of Fractions."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    kind: GeneratorKind
-    n: int
-    rl_is_identity: bool
-    rdl_is_generator: bool
+class VerificationReport(namedtuple("VerificationReport", "kind n rl_is_identity rdl_is_generator")):
+    """Exact outcome of checking R L = I and R diag(D) L = generator."""
+
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
@@ -211,10 +209,17 @@ def closed_form_decomposition(kind: GeneratorKind, n: int) -> SpectralDecomposit
 
     Eigenvalues are read off the generator diagonal: -i for the
     Bolthausen-Sznitman fixation line, 1 - i for its block counting
-    process, -i (i+1) / 2 for the Kingman fixation line.
+    process, -i (i+1) / 2 for the Kingman fixation line.  The two
+    Bolthausen-Sznitman kinds read Stirling numbers up to row n, so they
+    raise ValueError for n > DEFAULT_NMAX before building anything.
     """
     if n < 1:
         raise ValueError(f"truncation size must be positive, got {n}")
+    if kind is not GeneratorKind.KINGMAN_FIXATION and n > DEFAULT_NMAX:
+        raise ValueError(
+            f"closed-form {kind.value} decomposition needs Stirling numbers up to n = {n}, "
+            f"past the table bound DEFAULT_NMAX = {DEFAULT_NMAX}"
+        )
     r_entry, l_entry = _CLOSED_FORMS[kind]
     R = _triangular(n, kind.orientation, r_entry)
     L = _triangular(n, kind.orientation, l_entry)

@@ -246,6 +246,14 @@ class TestHitting:
         h = hitting_probability(1, j, HittingMethod.INTEGRAL)
         assert abs(h - hitting_asymptotic(j)) * math.log(j) ** 3 < 10
 
+    def test_gauss_legendre_is_numpys_rule(self):
+        # the stored literals, mapped to [0, 1], against numpy's rule bit for bit
+        nodes, weights = np.polynomial.legendre.leggauss(64)
+        xs, ws, lgs = zip(*analytics._GAUSS_LEGENDRE)
+        assert [x.hex() for x in xs] == [x.hex() for x in (0.5 * (nodes + 1.0)).tolist()]
+        assert [w.hex() for w in ws] == [w.hex() for w in (0.5 * weights).tolist()]
+        assert list(lgs) == [math.lgamma(x) for x in xs]
+
     def test_integral_matches_per_node_lgamma_reference(self):
         # the rule as numpy arrays, with lgamma(x) evaluated inside the sum
         nodes, weights = np.polynomial.legendre.leggauss(64)

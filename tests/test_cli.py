@@ -9,6 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from bscoal import cli
 from bscoal.analytics import TimePoint
 from bscoal.cli import _fmt, run
 from bscoal.combinatorics import EULER_GAMMA
@@ -203,6 +204,65 @@ class TestEmit:
         assert out == _csv_one_row_at_a_time(["i", "j", "R", "L", "D_j"], rows)
 
 
+# every subcommand's CSV output: tables, paths, value columns and single records
+CSV_COMMANDS = [
+    ["spectral", "--kind", "bs-block", "--n", "6"],
+    ["spectral", "--kind", "kingman-fixation", "--n", "5", "--method", "recursive"],
+    ["spectral", "--kind", "bs-fixation", "--n", "6", "--verify"],
+    ["transition", "--i", "2", "--j", "5", "--t", "0.7"],
+    ["transition", "--i", "2", "--j", "5", "--t", "0.7", "--method", "binomial"],
+    ["hitting", "--i", "1", "--j", "7"],
+    ["hitting", "--i", "1", "--j", "2000", "--method", "integral"],
+    ["absorption", "--n", "1000", "--i", "5", "--t", "2.0"],
+    ["edgeworth", "--n", "1000", "--i", "2", "--x", "0.5", "--K", "3"],
+    ["limits", "--method", "sample-neveu", "--t", "1", "--reps", "200", "--seed", "4"],
+    ["limits", "--method", "sample-mittag-leffler", "--t", "1", "--reps", "200", "--seed", "4"],
+    ["limits", "--method", "moment", "--t", "1", "--x", "2"],
+    ["limits", "--method", "log-cumulant-ml", "--t", "1", "--K", "3"],
+    ["simulate", "--method", "block-path", "--n", "30", "--t", "2.0", "--seed", "4"],
+    ["simulate", "--method", "fixation-path", "--n", "5", "--seed", "4"],
+    ["simulate", "--method", "block-marginal", "--n", "40", "--reps", "200", "--seed", "4"],
+    ["simulate", "--method", "fixation-marginal", "--n", "40", "--reps", "200", "--seed", "4"],
+    ["simulate", "--method", "absorption-times", "--n", "40", "--i", "2", "--reps", "200", "--seed", "4"],
+    ["simulate", "--method", "hitting", "--i", "1", "--j", "4", "--reps", "200", "--seed", "4"],
+    ["converge", "--n", "50,100", "--t", "1", "--reps", "200", "--seed", "4"],
+]
+
+
+class TestCsvWriter:
+    """The one-join writer against csv.writer on the cells each command emits."""
+
+    @pytest.mark.parametrize("argv", CSV_COMMANDS, ids=lambda argv: "-".join(argv[:3]))
+    def test_matches_csv_module_on_every_command(self, capsys, monkeypatch, argv):
+        emitted = []
+        emit = cli._emit_rows
+
+        def recording(fmt, header, rows, json_key="rows"):
+            rows = [list(r) for r in rows]
+            emitted.append((header, rows))
+            emit(fmt, header, rows, json_key)
+
+        monkeypatch.setattr(cli, "_emit_rows", recording)
+        code, out = _capture(capsys, argv)
+        assert code == 0 and len(emitted) == 1
+        assert out == _csv_one_row_at_a_time(*emitted[0])
+
+    def test_matches_csv_module_on_edge_values(self, capsys):
+        values = [math.inf, -math.inf, math.nan, -0.0, 0.0, 5e-324, 2.2250738585072014e-308,
+                  1e16, 1e-7, 123456789.0, 0, -3, 2**70, True, False]
+        cli._emit_rows("csv", ["value"], zip(values))
+        assert capsys.readouterr().out == _csv_one_row_at_a_time(["value"], [[v] for v in values])
+        rows = [values[i : i + 3] for i in range(0, len(values), 3)]
+        cli._emit_rows("csv", ["a", "b", "c"], rows)
+        assert capsys.readouterr().out == _csv_one_row_at_a_time(["a", "b", "c"], rows)
+
+    def test_one_write(self, monkeypatch):
+        writes = []
+        monkeypatch.setattr(cli.sys, "stdout", type("Out", (), {"write": writes.append})())
+        cli._emit_rows("csv", ["i", "v"], [[1, 0.5], [2, 0.25]])
+        assert writes == ["i,v\n1,0.5\n2,0.25\n"]
+
+
 class TestExitCodes:
     def test_unknown_subcommand_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -217,6 +277,11 @@ class TestExitCodes:
     def test_domain_error_exit_two(self, capsys):
         code = run(["absorption", "--n", "5", "--i", "9", "--t", "1.0"])
         assert code == 2
+
+    def test_spectral_past_stirling_bound_exit_two(self, capsys):
+        assert run(["spectral", "--kind", "bs-block", "--n", "300", "--verify"]) == 2
+        err = capsys.readouterr().err
+        assert "n = 300" in err and "DEFAULT_NMAX = 256" in err
 
     def test_hitting_past_renewal_domain_exit_two(self, capsys):
         assert run(["hitting", "--i", "1", "--j", "1002"]) == 2

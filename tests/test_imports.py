@@ -1,17 +1,32 @@
 """Package surface and cold start: what `import bscoal` binds and what it loads.
 
 numpy is most of a cold start, so the closed-form CLI commands must run
-without it; the checks are structural (which modules load), not timings.
+without it; dataclasses (with inspect, ast and dis) and csv are not needed
+either.  The checks are structural (which modules load), not timings.
 """
 
+import copy
+import math
 import os
+import pickle
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
 import bscoal
+from bscoal.analytics import TimePoint
 from bscoal.cli import run
+from bscoal.limits import LogProcess
+from bscoal.simulate import EstimateWithError, PathSample
+from bscoal.spectral import (
+    GeneratorKind,
+    SpectralDecomposition,
+    TriangularMatrix,
+    VerificationReport,
+    closed_form_decomposition,
+)
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(bscoal.__file__)))
 
@@ -24,6 +39,7 @@ CLOSED_FORM_COMMANDS = [
     ["hitting", "--i", "1", "--j", "7"],
     ["hitting", "--i", "1", "--j", "7", "--method", "stirling-shift"],
     ["hitting", "--i", "1", "--j", "7", "--method", "stirling-double"],
+    ["hitting", "--i", "1", "--j", "2000", "--method", "integral"],
     ["absorption", "--n", "1000", "--i", "5", "--t", "2.0"],
     ["edgeworth", "--n", "1000", "--i", "2", "--x", "0.5", "--K", "3"],
 ]
@@ -37,9 +53,16 @@ def _python(code: str) -> str:
 
 
 class TestColdStart:
-    def test_import_leaves_numpy_unloaded(self):
-        out = _python("import sys, bscoal, bscoal.cli; print('numpy' in sys.modules)")
-        assert out.split() == ["False"]
+    @pytest.mark.parametrize("module", ["bscoal", "bscoal.cli"])
+    def test_import_loads_no_heavy_module(self, module):
+        code = (
+            "import sys\n"
+            "before = set(sys.modules)\n"
+            f"import {module}\n"
+            "heavy = ('numpy', 'dataclasses', 'inspect', 'csv')\n"
+            "print('loaded:', *[m for m in heavy if m in sys.modules and m not in before])\n"
+        )
+        assert _python(code).split() == ["loaded:"]
 
     def test_closed_form_commands_run_without_numpy(self):
         # None in sys.modules makes any import of numpy raise ImportError
@@ -56,11 +79,11 @@ class TestColdStart:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["hitting", "--i", "1", "--j", "2000", "--method", "integral"],
             ["limits", "--method", "sample-neveu", "--t", "1", "--reps", "10"],
             ["limits", "--method", "moment", "--t", "1", "--x", "2"],
             ["simulate", "--method", "block-marginal", "--n", "20", "--reps", "10"],
             ["converge", "--n", "50", "--t", "1", "--reps", "50"],
+            ["simulate", "--method", "block-path", "--n", "10", "--seed", "1"],
         ],
     )
     def test_numpy_commands_still_run(self, capsys, argv):
@@ -96,3 +119,52 @@ class TestPackageSurface:
         with pytest.raises(AttributeError, match="no_such_name"):
             bscoal.no_such_name
         assert not hasattr(bscoal, "np")
+
+
+_ROWS = ((Fraction(1), Fraction(2)), (Fraction(0), Fraction(1)))
+
+# (record, valid fields, fields its constructor rejects or None)
+RECORDS = [
+    (TriangularMatrix, (2, "upper", _ROWS), (2, "lower", _ROWS)),
+    (SpectralDecomposition, tuple(closed_form_decomposition(GeneratorKind.BS_FIXATION, 2)), None),
+    (VerificationReport, (GeneratorKind.BS_BLOCK, 3, True, False), None),
+    (TimePoint, (1.0, math.exp(-1.0)), (1.0, 0.9)),
+    (LogProcess, ("neveu", 0.5), ("bogus", 0.5)),
+    (PathSample, ("block", 3, (0.5,), (3, 1)), ("block", 3, (0.5,), (3,))),
+    (EstimateWithError, (0.25, 0.01, 100), None),
+]
+
+
+@pytest.mark.parametrize("cls, fields, bad", RECORDS, ids=[r[0].__name__ for r in RECORDS])
+class TestRecords:
+    def test_positional_and_keyword_construction_agree(self, cls, fields, bad):
+        rec = cls(*fields)
+        assert rec == cls(**dict(zip(cls._fields, fields)))
+        assert tuple(getattr(rec, f) for f in cls._fields) == fields
+
+    def test_value_equality_and_hash(self, cls, fields, bad):
+        a, b = cls(*fields), cls(*fields)
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert copy.copy(a) == a and pickle.loads(pickle.dumps(a)) == a
+
+    def test_immutable(self, cls, fields, bad):
+        rec = cls(*fields)
+        with pytest.raises(AttributeError):
+            setattr(rec, cls._fields[0], fields[0])
+        with pytest.raises(AttributeError):
+            rec.extra = 1
+
+    def test_repr_names_the_fields(self, cls, fields, bad):
+        text = repr(cls(*fields))
+        assert text.startswith(f"{cls.__name__}(") and all(f"{f}=" in text for f in cls._fields)
+
+
+VALIDATED = [r for r in RECORDS if r[2] is not None]
+
+
+@pytest.mark.parametrize("cls, fields, bad", VALIDATED, ids=[r[0].__name__ for r in VALIDATED])
+def test_record_validation_on_construction_and_replace(cls, fields, bad):
+    with pytest.raises(ValueError):
+        cls(*bad)
+    with pytest.raises(ValueError):
+        cls(*fields)._replace(**dict(zip(cls._fields, bad)))

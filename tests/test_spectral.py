@@ -1,10 +1,10 @@
 """Triangular spectral decompositions: closed forms, recursions, exact products."""
 
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
+from bscoal import spectral
 from bscoal.spectral import (
     DegenerateSpectrumError,
     GeneratorKind,
@@ -113,6 +113,25 @@ def test_transpose():
     assert gen.transpose().orientation == "lower"
 
 
+@pytest.mark.parametrize("kind", [GeneratorKind.BS_FIXATION, GeneratorKind.BS_BLOCK])
+def test_closed_form_past_stirling_bound_rejected_up_front(kind, monkeypatch):
+    # the check comes before any table work: no Stirling number is read
+    def unreachable(n, k):
+        raise AssertionError("Stirling table read before the bound check")
+
+    monkeypatch.setattr(spectral, "stirling_first", unreachable)
+    monkeypatch.setattr(spectral, "stirling_second", unreachable)
+    n = spectral.DEFAULT_NMAX + 44
+    with pytest.raises(ValueError, match=rf"n = {n}\b.*DEFAULT_NMAX = {spectral.DEFAULT_NMAX}"):
+        closed_form_decomposition(kind, n)
+    # the bound itself is allowed: with a bound of 5, n = 5 builds and 6 does not
+    monkeypatch.undo()
+    monkeypatch.setattr(spectral, "DEFAULT_NMAX", 5)
+    assert verify_decomposition(closed_form_decomposition(kind, 5)).ok
+    with pytest.raises(ValueError, match=r"n = 6\b"):
+        closed_form_decomposition(kind, 6)
+
+
 def test_entries_outside_triangle_rejected():
     rows = [[Fraction(0)] * 4 for _ in range(4)]
     rows[2][1] = Fraction(1, 3)
@@ -137,11 +156,11 @@ def test_negative_control_tiny_perturbation_fails(kind, factor):
     eps = Fraction(1, 10**30)
     i, j = (3, 7) if kind.orientation == "upper" else (7, 3)  # inside the triangle
     if factor == "R":
-        dec = replace(dec, R=_perturbed(dec.R, i, j, eps))
+        dec = dec._replace(R=_perturbed(dec.R, i, j, eps))
     elif factor == "L":
-        dec = replace(dec, L=_perturbed(dec.L, i, j, eps))
+        dec = dec._replace(L=_perturbed(dec.L, i, j, eps))
     else:
-        dec = replace(dec, D=dec.D[:5] + (dec.D[5] + eps,) + dec.D[6:])
+        dec = dec._replace(D=dec.D[:5] + (dec.D[5] + eps,) + dec.D[6:])
     report = verify_decomposition(dec)
     if factor == "D":
         assert report.rl_is_identity
