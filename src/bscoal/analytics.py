@@ -24,6 +24,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .combinatorics import (
+    DEFAULT_NMAX,
     EULER_GAMMA,
     ZETA,
     factorial,
@@ -133,14 +134,19 @@ def fixation_transition(i: int, j: int, tp: TimePoint, formula: str = "stirling"
 
     ``formula="stirling"`` evaluates the double Stirling sum exactly, in
     integers over the binary rational ``alpha`` (the float exp(-t)), and
-    rounds once; ``"binomial"`` evaluates the alternating
-    generalized-binomial sum in floats.
+    rounds once; it raises ValueError for j > DEFAULT_NMAX.  ``"binomial"``
+    evaluates the alternating generalized-binomial sum in floats.
     """
     if i < 1 or j < 1:
         raise ValueError(f"states must be positive, got ({i}, {j})")
     if j < i:
         return 0.0  # the fixation line is nondecreasing
     if formula == "stirling":
+        if j > DEFAULT_NMAX:
+            raise ValueError(
+                f"stirling transition p({i},{j}) needs Stirling numbers up to j = {j}, "
+                f"past the table bound DEFAULT_NMAX = {DEFAULT_NMAX}"
+            )
         val = _transition_stirling(i, j, tp.alpha)
     elif formula == "binomial":
         try:
@@ -326,21 +332,13 @@ _GL64_POSITIVE = (
 )
 
 
-def _gauss_legendre(positive) -> tuple[tuple[float, float, float], ...]:
-    """A Gauss-Legendre rule mapped to [0, 1], as (x, w, lgamma(x)) by ascending x.
-
-    ``positive`` holds the rule's (node, weight) pairs on (0, 1], ascending;
-    the rule is symmetric, so its negative half is the same pairs negated.
-    The stored 64-node pairs are numpy's ``leggauss(64)`` printed by repr:
-    its rule is symmetric bit for bit and maps to [0, 1] the same in Python
-    floats, so the integral route gets numpy's rule without importing numpy.
-    ``test_gauss_legendre_is_numpys_rule`` pins every node and weight.
-    """
-    rule = [(-x, w) for x, w in reversed(positive)] + list(positive)
-    return tuple((0.5 * (x + 1.0), 0.5 * w, math.lgamma(0.5 * (x + 1.0))) for x, w in rule)
-
-
-_GAUSS_LEGENDRE = _gauss_legendre(_GL64_POSITIVE)
+# numpy's 64-node rule mapped to [0, 1], as (x, w, lgamma(x)) by ascending x: the
+# stored half negated, then as stored (numpy's rule is symmetric bit for bit), so
+# the integral route needs no numpy; test_gauss_legendre_is_numpys_rule pins it.
+_GAUSS_LEGENDRE = tuple(
+    (0.5 * (x + 1.0), 0.5 * w, math.lgamma(0.5 * (x + 1.0)))
+    for x, w in [(-x, w) for x, w in reversed(_GL64_POSITIVE)] + list(_GL64_POSITIVE)
+)
 
 
 def _hitting_integral(d: int) -> float:
@@ -357,8 +355,8 @@ def hitting_probability(i: int, j: int, method: HittingMethod = HittingMethod.CO
     Depends on (i, j) only through j - i.  ``method`` is a HittingMethod or
     its value string.  The convolution and both Stirling methods return
     exact ``Fraction``s; the integral returns a float.  The convolution
-    raises ValueError for j - i > 1000 and the Stirling methods past the
-    Stirling table bound; the integral has none.
+    raises ValueError for j - i > 1000, stirling-double for j > DEFAULT_NMAX
+    and stirling-shift for j - i + 1 > DEFAULT_NMAX; the integral has none.
     """
     method = HittingMethod(method)
     if i < 1 or j < 1:
@@ -373,6 +371,12 @@ def hitting_probability(i: int, j: int, method: HittingMethod = HittingMethod.CO
         return _hitting_integral(d)
     if method is HittingMethod.STIRLING_SHIFT:
         i, j = 1, d + 1  # the value depends on d only; every S(k, 1) is 1
+    if j > DEFAULT_NMAX:
+        top = "j - i + 1" if method is HittingMethod.STIRLING_SHIFT else "j"
+        raise ValueError(
+            f"{method.value} hitting route needs Stirling numbers up to {top} = {j}, "
+            f"past the table bound DEFAULT_NMAX = {DEFAULT_NMAX}"
+        )
     # the pair sum at w_k = j/k: (-1)^(i+j) i!/(j-1)! sum_k S(k,i) s(j,k) / k,
     # over m = lcm(i..j)
     m = math.lcm(*range(i, j + 1))

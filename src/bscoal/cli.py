@@ -34,14 +34,7 @@ from .analytics import (
     gumbel_cumulant,
     hitting_probability,
 )
-from .spectral import (
-    GeneratorKind,
-    build_generator,
-    closed_form_decomposition,
-    eigenvalues,
-    recursive_decomposition,
-    verify_decomposition,
-)
+from .spectral import GeneratorKind, closed_form_decomposition, verify_decomposition
 
 __all__ = ["main", "run"]
 
@@ -86,10 +79,7 @@ def _emit_rows(fmt: str, header: list[str], rows, json_key: str = "rows") -> Non
 def _cmd_spectral(args) -> int:
     kind = GeneratorKind(args.kind)
     n = args.n
-    if args.method == "recursive":
-        dec = recursive_decomposition(build_generator(kind, n), eigenvalues(kind, n), kind)
-    else:
-        dec = closed_form_decomposition(kind, n)
+    dec = closed_form_decomposition(kind, n)
     if args.verify:
         report = verify_decomposition(dec)
         _emit_record(
@@ -276,7 +266,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--kind", choices=[k.value for k in GeneratorKind], required=True)
     p.add_argument("--n", type=int, required=True, help="truncation size")
-    p.add_argument("--method", choices=("closed", "recursive"), default="closed")
     p.add_argument("--verify", action="store_true", help="report R L = I and R D L = generator")
     _add_common(p)
     p.set_defaults(handler=_cmd_spectral)

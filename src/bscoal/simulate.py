@@ -1,15 +1,18 @@
 """Exact-distribution Monte Carlo for the block counting process and fixation line.
 
 Single trajectories are produced jump by jump (competing exponentials, no
-time discretization), and so are the block absorption times, vectorized
+time discretization).  Both chains are monotone, and Siegmund duality,
+P(N_t <= i | N_0 = n) = P(L_t >= n | L_0 = i), turns block questions
+into fixation-line ones.  The block absorption time from n to <= i is
+the first passage of the fixation line from i to >= n, run jump by jump
 across replicates.  The marginals at a fixed time t come from the
 state-1 fixation law (the Sibuya law with alpha = e^-t).  The fixation
 line from n is a sum of n such draws (branching): one multinomial per
 replicate counts the draws equal to 1..32, and only the draws past 32
 are inverted, from uniforms drawn after every replicate's counts.  The
 block count from n is the number of such draws whose running sum first
-reaches n (Siegmund duality), each inverted from one uniform.  Every
-sample has the exact finite-n distribution.
+reaches n, each inverted from one uniform.  Every sample has the exact
+finite-n distribution.
 
 Randomness contract: every function takes an explicit
 ``numpy.random.Generator``; replicate-indexed work uses PCG64 streams
@@ -75,22 +78,15 @@ def replicate_rng(seed: int, index: int = 0) -> np.random.Generator:
 # jump laws (exact inverse transforms)
 # ---------------------------------------------------------------------------
 
-def _block_decrement(i, v):
-    """Jump size of the block counting process from state(s) i, for uniforms v.
+def _block_step(i: int, v: float) -> int:
+    """Jump size of the block counting process from state i, for a uniform v.
 
     P(d = m) = i / ((i-1) m (m+1)) for m <= i-2; the remaining mass
     1/(i-1)^2 sends the chain straight to the absorbing state (d = i-1).
     The cumulative distribution is i m / ((i-1)(m+1)), so the inverse
-    transform has the closed form d = ceil(v (i-1) / (i - v (i-1))).
+    transform has the closed form d = ceil(v (i-1) / (i - v (i-1))),
+    clipped to 1..i-1.
     """
-    x = v * (i - 1) / (i - v * (i - 1))
-    d = np.ceil(x)
-    return np.clip(d, 1, i - 1)
-
-
-def _block_step(i: int, v: float) -> int:
-    """``_block_decrement`` for one state i and one uniform v, on Python
-    numbers: the same floats, rounded up and clipped to 1..i-1."""
     x = v * (i - 1)
     return min(max(math.ceil(x / (i - x)), 1), i - 1)
 
@@ -188,21 +184,29 @@ def estimate_hitting(i: int, j: int, reps: int, rng: np.random.Generator) -> Est
 def sample_absorption_times(n: int, i: int, reps: int, rng: np.random.Generator) -> np.ndarray:
     """reps draws of the first time the block count from n drops to <= i.
 
-    The chains run jump by jump, vectorized across replicates: each round
-    draws one exponential holding time per chain still above i, then one
-    uniform for its decrement, in index order.
+    Both chains are monotone, so {tau <= t} = {N_t <= i}, and by Siegmund
+    duality P(N_t <= i | N_0 = n) = P(L_t >= n | L_0 = i): tau has the law
+    of the first time the fixation line from i reaches n or more.  That
+    line runs jump by jump, vectorized across the live chains: each round
+    draws one exponential per chain, divided by its state (the line leaves
+    m at rate m), then one uniform for its increment, in index order.  A
+    chain that reaches n writes its clock and leaves.  Domain:
+    1 <= i <= n <= 2^62; i = n gives zeros.
     """
-    if not (1 <= i <= n):
-        raise ValueError(f"need 1 <= i <= n, got i={i}, n={n}")
-    states = np.full(reps, n, dtype=np.int64)
-    clocks = np.zeros(reps)
-    active = np.flatnonzero(states > i)
-    while active.size:
-        s = states[active].astype(np.float64)
-        clocks[active] += rng.exponential(size=active.size) / (s - 1.0)
-        states[active] -= _block_decrement(s, 1.0 - rng.random(active.size)).astype(np.int64)
-        active = active[states[active] > i]
-    return clocks
+    if not 1 <= i <= n <= 2**62:
+        raise ValueError(f"need 1 <= i <= n <= 2^62, got i={i}, n={n}")
+    out = np.zeros(reps)
+    rows = np.arange(reps if i < n else 0)  # the live chains, in index order
+    states = np.full(rows.size, i, dtype=np.int64)
+    clocks = np.zeros(rows.size)
+    while rows.size:
+        clocks += rng.exponential(size=rows.size) / states
+        states += _fixation_increment(rng, rows.size).astype(np.int64)  # < 2^62 + 2^53, no wrap
+        done = states >= n
+        out[rows[done]] = clocks[done]
+        live = ~done
+        rows, states, clocks = rows[live], states[live], clocks[live]
+    return out
 
 
 # -- the state-1 fixation marginal: the Sibuya law ---------------------------

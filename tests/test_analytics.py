@@ -192,6 +192,28 @@ class TestHitting:
             with pytest.raises(ValueError):
                 hitting_probability(i, j, "renewal")
 
+    def test_stirling_routes_name_their_bound(self, monkeypatch):
+        # past DEFAULT_NMAX = 256 each Stirling route raises before it reads a
+        # row, naming the state, the route and the bound; just inside, it answers
+        def no_rows(i, j):
+            raise AssertionError(f"Stirling row read for ({i}, {j})")
+
+        tp = TimePoint.from_time(1.0)
+        calls = [
+            (lambda: hitting_probability(5, 257, HittingMethod.STIRLING_DOUBLE), "j = 257", "stirling-double"),
+            (lambda: hitting_probability(50, 306, HittingMethod.STIRLING_SHIFT), "j - i + 1 = 257", "stirling-shift"),
+            (lambda: fixation_transition(5, 257, tp), "j = 257", "stirling"),
+        ]
+        with monkeypatch.context() as m:
+            m.setattr(analytics, "_stirling_pairs", no_rows)
+            for call, state, route in calls:
+                with pytest.raises(ValueError) as exc:
+                    call()
+                msg = str(exc.value)
+                assert state in msg and route in msg and "DEFAULT_NMAX = 256" in msg, msg
+        assert 0 < hitting_probability(50, 305, HittingMethod.STIRLING_SHIFT) < 1
+        assert 0 <= fixation_transition(5, 256, tp) <= 1
+
     def test_renewal_route_domain(self):
         # the convolution and gf routes stop at j - i = 1000; the integral does not
         with pytest.raises(ValueError):

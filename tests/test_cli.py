@@ -93,14 +93,6 @@ class TestSpectral:
         assert len(data["D"]) == 4
         assert data["L"]["entries"][0][0] == "1/1"
 
-    def test_recursive_matches_closed(self, capsys):
-        # the dense rows of the two BS kinds exercise the recursion's scaling
-        for kind in ("bs-block", "bs-fixation", "kingman-fixation"):
-            args = ["spectral", "--kind", kind, "--n", "12"]
-            _, closed = _capture(capsys, args)
-            _, rec = _capture(capsys, args + ["--method", "recursive"])
-            assert closed == rec, kind
-
 
 class TestSimulation:
     def test_path_csv(self, capsys):
@@ -207,7 +199,7 @@ class TestEmit:
 # every subcommand's CSV output: tables, paths, value columns and single records
 CSV_COMMANDS = [
     ["spectral", "--kind", "bs-block", "--n", "6"],
-    ["spectral", "--kind", "kingman-fixation", "--n", "5", "--method", "recursive"],
+    ["spectral", "--kind", "kingman-fixation", "--n", "5"],
     ["spectral", "--kind", "bs-fixation", "--n", "6", "--verify"],
     ["transition", "--i", "2", "--j", "5", "--t", "0.7"],
     ["transition", "--i", "2", "--j", "5", "--t", "0.7", "--method", "binomial"],
@@ -282,6 +274,11 @@ class TestExitCodes:
         assert run(["spectral", "--kind", "bs-block", "--n", "300", "--verify"]) == 2
         err = capsys.readouterr().err
         assert "n = 300" in err and "DEFAULT_NMAX = 256" in err
+
+    def test_hitting_past_stirling_bound_exit_two(self, capsys):
+        assert run(["hitting", "--i", "1", "--j", "300", "--method", "stirling-shift"]) == 2
+        err = capsys.readouterr().err
+        assert "stirling-shift" in err and "j - i + 1 = 300" in err and "DEFAULT_NMAX = 256" in err
 
     def test_hitting_past_renewal_domain_exit_two(self, capsys):
         assert run(["hitting", "--i", "1", "--j", "1002"]) == 2

@@ -28,10 +28,17 @@ from bscoal.simulate import (
     simulate_block,
     simulate_fixation,
 )
-from bscoal.simulate import _STIRLING, _block_decrement, _block_step, _sibuya_above_one, _sibuya_tail
+from bscoal.simulate import _STIRLING, _block_step, _sibuya_above_one, _sibuya_tail
 
 # chi-square critical value at p = 0.001, df = 9 (frozen table value)
 CHI2_CRIT_9_999 = 27.877
+
+
+def _block_decrement(i, v):
+    """``_block_step`` vectorized over states i and uniforms v, as numpy floats:
+    the jump law of the oracle ``_block_marginal_by_jumps``."""
+    x = v * (i - 1) / (i - v * (i - 1))
+    return np.clip(np.ceil(x), 1, i - 1)
 
 
 def block_decrement_pmf(i: int) -> list[Fraction]:
@@ -484,6 +491,61 @@ def test_hitting_equals_mask_loop(i, j):
     rng, oracle_rng = replicate_rng(41, j), replicate_rng(41, j)
     assert estimate_hitting(i, j, 10**5, rng).value == _estimate_hitting_by_masks(i, j, 10**5, oracle_rng)
     assert rng.random() == oracle_rng.random()
+
+
+def _absorption_times_by_masks(n, i, reps, rng):
+    """The dual first passage with every chain masked in every round: the
+    oracle of ``sample_absorption_times``, which keeps only the live chains."""
+    states = np.full(reps, i, dtype=np.int64)
+    clocks = np.zeros(reps)
+    while True:
+        live = states < n
+        k = int(live.sum())
+        if not k:
+            break
+        clocks[live] += rng.exponential(size=k) / states[live]
+        states[live] += np.floor(1.0 / (1.0 - rng.random(k))).astype(np.int64)
+    return clocks
+
+
+class TestAbsorptionTimes:
+    """tau from n to <= i has the law of the fixation line's first passage from i to >= n."""
+
+    @pytest.mark.parametrize("n, i, reps", [(50, 1, 10**4), (1000, 5, 5000), (1000, 990, 5000), (10**5, 1, 100)])
+    def test_equals_mask_loop(self, n, i, reps):
+        rng, oracle_rng = replicate_rng(42, i), replicate_rng(42, i)
+        got = sample_absorption_times(n, i, reps, rng)
+        assert np.array_equal(got, _absorption_times_by_masks(n, i, reps, oracle_rng))
+        assert rng.random() == oracle_rng.random()
+        assert sample_absorption_times(n, i, reps, replicate_rng(42, i)).tobytes() == got.tobytes()
+
+    @pytest.mark.parametrize(
+        "n, i, times",
+        [
+            (100, 1, (1.5, 2.0, 3.0)),
+            (1000, 5, (1.0, 1.5, 2.0)),
+            (1000, 500, (0.05, 0.1, 0.15)),
+            (1000, 990, (0.002, 0.004, 0.007)),
+        ],
+    )
+    def test_law_matches_cdf(self, n, i, times):
+        reps = 20000
+        taus = sample_absorption_times(n, i, reps, replicate_rng(43, i))
+        for t in times:
+            p = absorption_cdf(n, i, t)
+            z = ((taus <= t).mean() - p) / math.sqrt(p * (1 - p) / reps)
+            assert abs(z) <= 5, (t, p, z)
+
+    def test_domain(self):
+        rng = replicate_rng(44)
+        assert np.array_equal(sample_absorption_times(2**62, 2**62, 5, rng), np.zeros(5))
+        # one jump from 2^62 - 1 passes 2^62 without wrapping int64
+        assert (sample_absorption_times(2**62, 2**62 - 1, 5, rng) > 0).all()
+        empty = sample_absorption_times(40, 1, 0, rng)
+        assert empty.dtype == np.float64 and empty.size == 0
+        for n, i in ((2**62 + 1, 1), (5, 6), (5, 0)):
+            with pytest.raises(ValueError):
+                sample_absorption_times(n, i, 3, rng)
 
 
 class TestKsDistance:
