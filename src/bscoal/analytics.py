@@ -4,7 +4,7 @@ Everything here is a deterministic function of the inputs.  Quantities with
 an exact rational representation (hitting probabilities through the
 convolution and Stirling routes) are returned as ``Fraction``; the rest are
 double precision floats evaluated through log-gamma.  The exact kernels
-(the renewal convolution, the Stirling hitting sums and the Stirling
+(the renewal moment recurrence, the Stirling hitting sums and the Stirling
 transition sum) accumulate plain integers over one known denominator and
 divide once at the end, so a float result is the correctly rounded value
 of the exact rational.
@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import itertools
 import math
 import operator
 import threading
@@ -249,18 +250,27 @@ def block_tail_via_duality(n: int, i: int, tp: TimePoint) -> float:
 class _RenewalMasses:
     """Probabilities f(d) that the jump chain increments ever sum to exactly d.
 
-    Dynamic program over totals: f(0) = 1 and
-    f(d) = sum_{m=1..d} f(d-m) / (m (m+1)), which collapses the sum over
-    the number of jumps analytically.  For k <= d every f(k) is an integer
-    over W = d! lcm{m (m+1) : m <= d}, so the recursion runs on the
-    numerators f(k) W, weighted by the integers lcm / (m (m+1)), with one
-    exact division by the lcm per new entry.  Growth rescales the stored
-    numerators to the new W; the numerators and W grow under one lock.
+    f(0) = 1 and f(d) = sum_{m=1..d} f(d-m) / (m (m+1)), which is
+    f(d) = (1/d!) int_0^1 P_d(x) dx with P_d(x) = x (x+1) ... (x+d-1), the
+    integrand of the integral route.  L = lcm(1..d+1) equals
+    lcm{m (m+1) : m <= d}, the common denominator of the renewal weights, so
+    every f(k), k <= d, is an integer over the same W = d! L as the renewal
+    sum gives.  The table grows by moments instead: J_k(m) = L int_0^1 x^m
+    P_k(x) dx is an integer for m + k <= d, J_0(m) = L / (m+1),
+    J_k(m) = J_{k-1}(m+1) + (k-1) J_{k-1}(m) (from P_k = P_{k-1} (x + k - 1)),
+    and f(k) k! L = J_k(0).  The table keeps the numerators f(k) W and the
+    anti-diagonal F[k] = J_k(d - k).  One more entry is a running sum over F
+    of small-integer multiples, F' = accumulate((k F[k] for k <= d),
+    initial=L / (d+2)), whose last element is J_{d+1}(0).  Growth moves W to
+    (d+1)! L', so the stored numerators take the factor d+1 and, when L grows
+    (at prime powers), L' / L, as does F.  The numerators, F and W grow
+    under one lock.
     """
 
     def __init__(self):
         self._lock = threading.Lock()
         self._nums = [1]
+        self._frontier = [1]
         self._lcm = 1
         self._den = 1
 
@@ -274,23 +284,26 @@ class _RenewalMasses:
             return self._nums[: d + 1], self._den
 
     def _grow(self, d: int) -> None:
-        top = len(self._nums) - 1
-        lcm = math.lcm(self._lcm, *(m * (m + 1) for m in range(top + 1, d + 1)))
-        den = factorial(d) * lcm
-        scale = den // self._den
-        nums = [v * scale for v in self._nums]
-        weights = [lcm // (m * (m + 1)) for m in range(1, d + 1)]
+        nums, frontier = self._nums, self._frontier
+        top = len(nums) - 1
+        lcm = math.lcm(self._lcm, *range(top + 2, d + 2))
+        scale = lcm // self._lcm  # L' / L: F runs at the final L from the start
+        if scale > 1:
+            frontier = [v * scale for v in frontier]
         for k in range(top + 1, d + 1):
-            # sum_{m=1..k} nums[k-m] weights[m-1]
-            num, rem = divmod(sum(map(operator.mul, nums[k - 1 :: -1], weights)), lcm)
-            if rem:
-                raise ArithmeticError(f"renewal numerator at d={k} is not an integer")
-            nums.append(num)
-        self._nums, self._lcm, self._den = nums, lcm, den
+            step, scale = scale * k, 1  # W_k / W_{k-1}, and L' / L on the first step
+            nums = [v * step for v in nums]
+            frontier = list(itertools.accumulate(
+                map(operator.mul, range(k), frontier), initial=lcm // (k + 1)
+            ))
+            nums.append(frontier[k])
+        self._nums, self._frontier = nums, frontier
+        self._lcm, self._den = lcm, factorial(d) * lcm
 
 
-# The table costs O(d^2) products of ~d log2 d-bit integers (a cold d = 1000
-# takes seconds, d = 1500 over a minute); larger gaps have the integral route.
+# The table costs O(d^2) products of ~d log2 d-bit integers by integers below
+# d + 1: from cold, d = 300 takes 13-22 ms and d = 1000 0.4-0.6 s, on a
+# 2-vCPU host with Python 3.11; larger gaps have the integral route.
 _RENEWAL_MAX_D = 1000
 _RENEWAL = _RenewalMasses()
 
@@ -390,8 +403,11 @@ def hitting_gf_coefficients(i: int, J: int) -> list[float]:
 
     Since 1 / (1 - sum_{m>=1} z^m / (m (m+1))) = z / ((1-z)(-log(1-z))),
     the coefficients are the renewal masses f(0), ..., f(J - i) of the
-    convolution route, rounded to floats; ValueError for J - i > 1000.
+    convolution route, rounded to floats; ValueError for i < 1 and for
+    J - i > 1000.
     """
+    if i < 1 or J < 1:
+        raise ValueError(f"states must be positive, got ({i}, {J})")
     if J < i:
         raise ValueError(f"need J >= i, got i={i}, J={J}")
     nums, den = _RENEWAL.upto(J - i)

@@ -214,13 +214,26 @@ class TestHitting:
         assert 0 < hitting_probability(50, 305, HittingMethod.STIRLING_SHIFT) < 1
         assert 0 <= fixation_transition(5, 256, tp) <= 1
 
-    def test_renewal_route_domain(self):
-        # the convolution and gf routes stop at j - i = 1000; the integral does not
+    def test_renewal_route_domain(self, monkeypatch):
+        # the convolution and gf routes stop at j - i = 1000; the integral does not.
+        # A cold table grown to the last gap agrees with the integral there.
+        monkeypatch.setattr(analytics, "_RENEWAL", analytics._RenewalMasses())
+        exact = hitting_probability(1, 1001)
+        integral = hitting_probability(1, 1001, HittingMethod.INTEGRAL)
+        assert float(exact) == pytest.approx(integral, rel=1e-12, abs=0)
+        last = [hitting_probability(1, j) for j in range(951, 1002)]
+        assert all(a > b for a, b in zip(last, last[1:]))
         with pytest.raises(ValueError):
             hitting_probability(1, 1002)
         with pytest.raises(ValueError):
             hitting_gf_coefficients(1, 1002)
         assert 0 < hitting_probability(1, 1002, HittingMethod.INTEGRAL) < 1
+
+    def test_gf_coefficients_need_a_positive_state(self):
+        # z^i / ((1-z)(-log(1-z))) has no meaning as a hitting series for i < 1
+        for i, J in ((0, 5), (-5, 3), (0, 0)):
+            with pytest.raises(ValueError, match="states must be positive"):
+                hitting_gf_coefficients(i, J)
 
     def test_gf_coefficient_vector_consistent(self):
         coeffs = hitting_gf_coefficients(1, 10)

@@ -8,6 +8,9 @@ integers over one known denominator.  The direct ``Fraction`` computations
 below are the references: exact results must be equal and floats
 bit-identical.  A guard test makes ``Fraction`` arithmetic raise and runs
 the exact kernels under it, so a kernel that falls back to it fails.
+The renewal table of the convolution route grows by a moment recurrence;
+its reference is the renewal convolution on the same integer numerators,
+and its snapshots must be equal.
 
 The block survival sum and the Edgeworth point do their float arithmetic
 in one pass, with no helper call per term.  Their references below are
@@ -20,6 +23,7 @@ kernels.  (The hitting quadrature has its per-node reference in
 """
 
 import math
+import operator
 from fractions import Fraction
 
 import pytest
@@ -135,6 +139,21 @@ def gf_reference(i: int, J: int) -> list[float]:
         acc += a[n]
         out.append(float(acc))
     return out
+
+
+def renewal_reference(d: int) -> tuple[list[int], int]:
+    # The renewal convolution f(k) = sum_{m=1..k} f(k-m) / (m (m+1)), f(0) = 1,
+    # on the numerators f(k) W over W = d! lcm{m (m+1) : m <= d}: each
+    # weight lcm / (m (m+1)) is an integer, and each sum divides exactly.
+    lcm = math.lcm(*(m * (m + 1) for m in range(1, d + 1)))
+    den = factorial(d) * lcm
+    weights = [lcm // (m * (m + 1)) for m in range(1, d + 1)]
+    nums = [den]
+    for k in range(1, d + 1):
+        num, rem = divmod(sum(map(operator.mul, nums[k - 1 :: -1], weights)), lcm)
+        assert rem == 0, k
+        nums.append(num)
+    return nums, den
 
 
 def block_tail_reference(n: int, i: int, alpha: float) -> float:
@@ -336,6 +355,16 @@ def test_stirling_hitting_sums_match_reference():
 @pytest.mark.parametrize("i", [1, 3, 7])
 def test_gf_coefficients_match_reciprocal_series(i):
     assert hitting_gf_coefficients(i, 120) == gf_reference(i, 120)
+
+
+def test_renewal_table_matches_convolution():
+    ref = renewal_reference(200)
+    assert analytics._RenewalMasses().upto(200) == ref  # cold
+    for steps in (1, 7):  # a climb one gap at a time, as the exact benchmark job does, and strides
+        table = analytics._RenewalMasses()
+        for d in range(0, 201, steps):
+            assert table.upto(d) == renewal_reference(d), (steps, d)
+        assert table.upto(200) == ref
 
 
 def test_reference_matmul_by_identity():
