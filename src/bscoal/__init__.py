@@ -39,17 +39,14 @@ from .analytics import (
     block_tail_via_duality,
     edgeworth_c,
     edgeworth_cdf,
-    edgeworth_d,
     fixation_marginal,
     fixation_pgf,
     fixation_transition,
     gumbel_cumulant,
     gumbel_limit_cdf,
-    gumbel_moment,
     hitting_asymptotic,
     hitting_gf_coefficients,
     hitting_probability,
-    reciprocal_factorial_moment,
 )
 # limits and simulate import numpy, most of a cold start: they load on the
 # first use of one of their names (PEP 562), so closed-form work never does.
@@ -97,7 +94,6 @@ __all__ = [
     "fixation_pgf",
     "fixation_transition",
     "fixation_marginal",
-    "reciprocal_factorial_moment",
     "block_tail_via_duality",
     "hitting_probability",
     "hitting_gf_coefficients",
@@ -105,9 +101,7 @@ __all__ = [
     "absorption_cdf",
     "gumbel_limit_cdf",
     "gumbel_cumulant",
-    "gumbel_moment",
     "edgeworth_c",
-    "edgeworth_d",
     "edgeworth_cdf",
     "LogProcess",
     "ml_moment",

@@ -41,7 +41,6 @@ __all__ = [
     "fixation_pgf",
     "fixation_transition",
     "fixation_marginal",
-    "reciprocal_factorial_moment",
     "block_tail_via_duality",
     "hitting_probability",
     "hitting_gf_coefficients",
@@ -49,9 +48,7 @@ __all__ = [
     "absorption_cdf",
     "gumbel_limit_cdf",
     "gumbel_cumulant",
-    "gumbel_moment",
     "edgeworth_c",
-    "edgeworth_d",
     "edgeworth_cdf",
 ]
 
@@ -178,21 +175,6 @@ def fixation_marginal(tp: TimePoint, j: int) -> float:
     if a == 1.0:
         return 1.0 if j == 1 else 0.0
     return a * math.exp(math.lgamma(j - a) - math.lgamma(1.0 - a) - math.lgamma(j + 1.0))
-
-
-def reciprocal_factorial_moment(tp: TimePoint, k: int) -> float:
-    """E[1 / ((state+1)...(state+k))] for the state-1 fixation line marginal."""
-    if k < 1:
-        raise ValueError(f"order must be positive, got {k}")
-    f = factorial(k)
-    try:
-        den = f * (tp.alpha + k)  # inf at k = 170, where k! is a float but the product is not
-    except OverflowError:  # k > 170: k! exceeds the float range
-        den = math.inf
-    if math.isfinite(den):
-        return tp.alpha / den
-    a, b = tp.alpha.as_integer_ratio()
-    return a / (f * (a + k * b))  # int / int: correctly rounded, 0.0 once it underflows
 
 
 def _block_tail(n: int, i: int, alpha: float) -> float:
@@ -437,16 +419,25 @@ def gumbel_limit_cdf(i: int, x: float) -> float:
     """CDF of the minimum of i independent standard Gumbel variables."""
     if i < 1:
         raise ValueError(f"need i >= 1, got {i}")
+    fi = _float_count(i)
     if _gumbel_underflows(x):
         return 0.0
     F = math.exp(-math.exp(-x))
-    return 1.0 - (1.0 - F) ** i
+    return 1.0 - (1.0 - F) ** fi
+
+
+def _float_count(i: int) -> float:
+    """float(i); NumericInstabilityError past the float range."""
+    try:
+        return float(i)
+    except OverflowError:
+        raise NumericInstabilityError(f"i of {i.bit_length()} bits exceeds the float range") from None
 
 
 # F = exp(-exp(-x)) is exactly 0.0 for x <= -7 (exp(-exp(7)) = exp(-1096.6)),
-# and exp(-x) itself overflows below x = -709.8.  With y = exp(-x) >= e^7,
-# each term F^j e^{-kx} = exp(-j y + k log y) of the Edgeworth forms is below
-# exp(-1000) for k <= 12, so they are 0.0 there as well.
+# and exp(-x) itself overflows below x = -709.8.  With y = exp(-x) >= e^7, each
+# Edgeworth term c_k S(k,m) (i)_m F^m e^{-kx} / ln(n)^k, m >= 1, is below
+# exp(m (log i - y) + k log y + 14) < exp(-280) for k <= 12 and i < 2^1024.
 _GUMBEL_ZERO_X = -7.0
 
 
@@ -475,19 +466,24 @@ def gumbel_cumulant(j: int) -> float:
     return factorial(j - 1) * ZETA[j]
 
 
-def gumbel_moment(k: int) -> float:
-    """Raw moments of the standard Gumbel law via the cumulant recursion."""
-    if k < 0:
-        raise ValueError(f"moment order must be nonnegative, got {k}")
-    m = [1.0]
-    for nn in range(1, k + 1):
-        m.append(
-            math.fsum(
-                math.comb(nn - 1, jj - 1) * gumbel_cumulant(jj) * m[nn - jj]
-                for jj in range(1, nn + 1)
-            )
-        )
-    return m[k]
+# Taylor coefficients c_0..c_12 of 1/Gamma(1 - x), correctly rounded (mpmath at
+# 50 digits).  The recursion over the Gumbel cumulants, n c_n = -(gamma c_(n-1)
+# + sum_(k=2..n) zeta(k) c_(n-k)), cancels: in floats it loses 2e-12 relative at c_12.
+_EDGEWORTH_C = (
+    1.0,
+    -0.5772156649015329,
+    -0.6558780715202539,
+    0.04200263503409524,
+    0.16653861138229148,
+    0.04219773455554433,
+    -0.009621971527876973,
+    -0.0072189432466631,
+    -0.0011651675918590652,
+    0.00021524167411495098,
+    0.0001280502823881162,
+    2.013485478078824e-05,
+    -1.2504934821426706e-06,
+)
 
 
 @functools.cache  # only orders 0..12 return, so at most 13 entries
@@ -495,91 +491,76 @@ def edgeworth_c(K: int) -> tuple[float, ...]:
     """Taylor coefficients c_0..c_K of 1/Gamma(1 - x).
 
     1/Gamma(1 - x) = exp(-gamma x - sum_{k>=2} zeta(k) x^k / k), the Gumbel
-    cumulant series, so n c_n = -(gamma c_{n-1} + sum_{k=2..n} zeta(k) c_{n-k}).
+    cumulant series; the values are stored correctly rounded.
     """
     if K < 0:
         raise ValueError(f"order must be nonnegative, got {K}")
     if K > _EDGEWORTH_MAX_ORDER:
         raise ValueError(f"order {K} exceeds supported maximum {_EDGEWORTH_MAX_ORDER}")
-    c = [1.0]
-    for n in range(1, K + 1):
-        zeta_terms = [ZETA[k] * c[n - k] for k in range(2, n + 1)]
-        c.append(-math.fsum([EULER_GAMMA * c[n - 1], *zeta_terms]) / n)
-    return tuple(c)
+    return _EDGEWORTH_C[: K + 1]
 
 
-def _gumbel_min_terms(i: int, x: float) -> list[float]:
-    """F^j (-1)^(j-1) C(i, j) for j = 1..i, F the Gumbel CDF at x.
-
-    d_k(x) is the sum of these terms times j^k; for k = 0 it is the
-    Gumbel-min CDF 1 - (1 - F)^i.
-    """
-    F = math.exp(-math.exp(-x))
-    terms = []
-    c = -1  # (-1)^(j-1) C(i, j), here for j = 0
-    try:
-        for j in range(1, i + 1):
-            c = -c * (i - j + 1) // j
-            terms.append(F**j * c)
-    except OverflowError:
-        raise NumericInstabilityError(f"Gumbel-min sum: C({i}, j) exceeds the float range") from None
-    return terms
-
-
-# Each term of the alternating sums is rounded by at most 2^-52 relative, so a sum
-# whose terms reach S in absolute value may be off by S 2^-52.  Past this bound the
-# Edgeworth forms raise rather than return what is left after the cancellation.
-_EDGEWORTH_ROUNDING_MAX = 1e-9
-
-
-def _check_rounding(bound: float, i: int, x: float) -> None:
-    if bound > _EDGEWORTH_ROUNDING_MAX:
-        raise NumericInstabilityError(
-            f"Gumbel-min sum at i={i}, x={x!r} cancels: rounding bound {bound:.3g} exceeds 1e-9"
-        )
-
-
-def edgeworth_d(k: int, i: int, x: float) -> float:
-    """Coefficient functions d_{k i}(x) = (e^x d/dx)^k applied to the Gumbel-min CDF.
-
-    Evaluated as the finite alternating sum in powers of F(x); raises
-    NumericInstabilityError when its rounding bound 2^-52 sum_j |t_j| j^k, over
-    the terms t_j of the sum, exceeds 1e-9.
-    """
-    if k < 0 or i < 1:
-        raise ValueError(f"need k >= 0 and i >= 1, got k={k}, i={i}")
-    if _gumbel_underflows(x):
-        return 0.0
-    p = [t * j**k for j, t in enumerate(_gumbel_min_terms(i, x), 1)]
-    _check_rounding(sum(map(abs, p)) * 2.0**-52, i, x)
-    return math.fsum(p)
+# Rows k = 0..12 of the Stirling numbers of the second kind S(k, m), m = 0..k,
+# by S(k, m) = m S(k-1, m) + S(k-1, m-1).
+_STIRLING2 = [(1,)]
+for _k in range(_EDGEWORTH_MAX_ORDER):
+    _row = (*_STIRLING2[-1], 0)
+    _STIRLING2.append(tuple(m * s + _row[m - 1] for m, s in enumerate(_row)))
 
 
 def edgeworth_cdf(n: int, i: int, x: float, K: int) -> float:
     """Order-K expansion of P(absorption time from n, centered by log log n, <= x).
 
-    Raises NumericInstabilityError when the rounding bound
-    2^-52 sum_k |c_k| e^(-kx) / ln(n)^k sum_j |t_j| j^k exceeds 1e-9, over the
-    terms t_j of the Gumbel-min sum: from i = 23 on at x >= 3, from about 49 at
-    x = 0.
+    The expansion is sum_{k<=K} c_k d_k(x) e^(-kx) / ln(n)^k with
+    d_k = (e^x d/dx)^k (1 - (1-F)^i), F = exp(-e^-x) the Gumbel CDF.  Since
+    e^x d/dx maps F to F, d_0 = 1 - (1-F)^i, rounded as gumbel_limit_cdf rounds
+    it (so K = 0 is that function), and for k >= 1
+    d_k = sum_{m=1..min(k,i)} (-1)^(m-1) S(k,m) (i)_m F^m (1-F)^(i-m):
+    at most 12 terms, each at most S(k,m) m! whatever i is.
+
+    Each term's rounding is bounded, in units of 2^-52 relative to the term,
+    by 1 for its own operations, plus the rounding of F, 1 + e^-x, times the
+    term's sensitivity to it, m + (i-m) F/(1-F), plus i - m for the rounding
+    of 1 - F.  Where the bound summed over the terms exceeds 1e-9 (near the
+    bulk x = -log log i from i of about 5e6 on at K = 0, from about 2000 at
+    K = 12 and n = 100), or where i exceeds the float range, it raises
+    NumericInstabilityError.
     """
     if n < 3:
         raise ValueError(f"need n >= 3 so that log log n is meaningful, got {n}")
     if i < 1:
         raise ValueError(f"need i >= 1, got {i}")
     c = edgeworth_c(K)
+    fi = _float_count(i)
     if _gumbel_underflows(x):
         return 0.0
     if x == math.inf:
         return 1.0  # d_0 = 1 and every k >= 1 term carries e^(-kx)
-    ln = math.log(n)
-    terms = list(enumerate(_gumbel_min_terms(i, x), 1))
-    fsum, exp = math.fsum, math.exp
-    parts, bound = [], 0.0
+    y = math.exp(-x)
+    F = math.exp(-y)
+    q = 1.0 - F
+    M = min(K, i)
+    g = [1.0]  # (i)_m F^m, a factor (i - m) F at a time so that no (i)_m overflows alone
+    for m in range(M):
+        g.append(g[-1] * ((fi - m) * F))
+    P = [q ** (fi - m) for m in range(M + 1)]  # P[0] = (1 - F)^i as in gumbel_limit_cdf
+    r = y / math.log(n)
+    Fq = F / q if q else 0.0  # q = 0 leaves only m = i, where (i - m) Fq is 0
+    parts, bound = [1.0 - P[0]], 0.0  # d_0
     for k in range(K + 1):
-        p = [t * j**k for j, t in terms]
-        e, lk = exp(-k * x), ln**k
-        parts.append(c[k] * fsum(p) * e / lk)
-        bound += abs(c[k]) * e / lk * sum(map(abs, p))
-    _check_rounding(bound * 2.0**-52, i, x)
-    return fsum(parts)
+        ck = c[k] * r**k
+        for m, s in enumerate(_STIRLING2[k][: i + 1]):
+            # S(k, 0) = 0 for k >= 1.  P[m] = 0 where (1-F)^(i-m) underflows or F
+            # rounds to 1: a negligible term, whose g[m] may be inf.
+            if not (s and P[m]):
+                continue
+            t = ck * s * g[m] * P[m]
+            if k:  # the k = 0 term, -(1-F)^i, is in d_0
+                parts.append(t if m % 2 else -t)
+            bound += abs(t) * (1.0 + (1.0 + y) * (m + (i - m) * Fq) + i - m)
+    bound *= 2.0**-52
+    if not bound <= 1e-9:
+        raise NumericInstabilityError(
+            f"Edgeworth terms at i={i}, x={x!r}: rounding bound {bound:.3g} exceeds 1e-9"
+        )
+    return math.fsum(parts)

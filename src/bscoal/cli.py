@@ -31,7 +31,6 @@ from .analytics import (
     absorption_cdf,
     edgeworth_cdf,
     fixation_transition,
-    gumbel_cumulant,
     hitting_probability,
 )
 from .spectral import GeneratorKind, closed_form_decomposition, verify_decomposition

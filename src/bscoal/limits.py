@@ -112,6 +112,17 @@ def _kanter_integral(tp: TimePoint, log_x: np.ndarray, g) -> np.ndarray:
     return out.reshape(log_x.shape)
 
 
+def _cdf_on(x, cdf):
+    """cdf over the float64 array of x: a float for scalar x, else an array of x's
+    shape; ValueError if x holds a NaN."""
+    x = np.asarray(x, dtype=np.float64)
+    if np.isnan(x).any():
+        raise ValueError("x must be a number, got x = nan")
+    with np.errstate(divide="ignore"):
+        out = cdf(x)
+    return out if out.ndim else float(out)
+
+
 def mittag_leffler_cdf(tp: TimePoint, x):
     """P(X <= x) = 1 - int_0^1 exp(-(x e^{k(u)})^(1/(1-alpha))) du, vectorized over x.
 
@@ -120,23 +131,24 @@ def mittag_leffler_cdf(tp: TimePoint, x):
     alternating power series (150 digits) is at most 1.3e-13 for t >= 0.5 and 1.2e-15 for
     t >= 1.  As alpha -> 1 the integrand sharpens into a step: 1.2e-11 at t = 0.3, 6.4e-10
     at 0.2, 1.8e-7 at 0.1, 6e-6 at 0.05, about 2.6e-4 at t = 1e-2, 1e-3 and 1e-4.  t = 0 is
-    the point mass at 1, and x <= 0 gives 0.
+    the point mass at 1, and x <= 0 gives 0.  A scalar x gives a float, an array x an
+    array of its shape; a NaN raises ValueError.
     """
-    x = np.asarray(x, dtype=np.float64)
     if tp.alpha == 1.0:
-        return np.heaviside(x - 1.0, 1.0)
-    with np.errstate(divide="ignore"):
-        return _kanter_integral(tp, np.log(np.maximum(x, 0.0)), lambda v: -np.expm1(-v))
+        return _cdf_on(x, lambda v: np.heaviside(v - 1.0, 1.0))
+    return _cdf_on(
+        x, lambda v: _kanter_integral(tp, np.log(np.maximum(v, 0.0)), lambda w: -np.expm1(-w))
+    )
 
 
 def neveu_cdf(tp: TimePoint, y):
     """P(Y <= y) = 1 - mittag_leffler_cdf(tp, y^(-alpha)), vectorized over y, with the same
-    accuracy.  t = 0 is the point mass at 1, and y <= 0 gives 0."""
-    y = np.asarray(y, dtype=np.float64)
+    accuracy and return types.  t = 0 is the point mass at 1, and y <= 0 gives 0."""
     if tp.alpha == 1.0:
         return mittag_leffler_cdf(tp, y)
-    with np.errstate(divide="ignore"):
-        return _kanter_integral(tp, -tp.alpha * np.log(np.maximum(y, 0.0)), lambda v: np.exp(-v))
+    return _cdf_on(
+        y, lambda v: _kanter_integral(tp, -tp.alpha * np.log(np.maximum(v, 0.0)), lambda w: np.exp(-w))
+    )
 
 
 def neveu_laplace_fd(times: Sequence[float], lambdas: Sequence[float]) -> float:

@@ -19,17 +19,14 @@ from bscoal.analytics import (
     block_tail_via_duality,
     edgeworth_c,
     edgeworth_cdf,
-    edgeworth_d,
     fixation_marginal,
     fixation_pgf,
     fixation_transition,
     gumbel_cumulant,
     gumbel_limit_cdf,
-    gumbel_moment,
     hitting_asymptotic,
     hitting_gf_coefficients,
     hitting_probability,
-    reciprocal_factorial_moment,
 )
 from bscoal.combinatorics import EULER_GAMMA, ZETA, stirling_second
 
@@ -142,12 +139,13 @@ class TestTransition:
             math.lgamma(20000 - a) - math.lgamma(1 - a) - math.lgamma(20000)
         )
         assert math.fsum(probs) + tail == pytest.approx(1.0, abs=1e-9)
+        # E[1 / ((state+1)...(state+k))] = alpha / (k! (alpha + k))
         for k in (1, 2, 3):
             est = math.fsum(
                 p / math.prod(range(j + 1, j + k + 1))
                 for j, p in enumerate(probs, start=1)
             )
-            assert est == pytest.approx(reciprocal_factorial_moment(tp, k), abs=1e-6)
+            assert est == pytest.approx(a / (math.factorial(k) * (a + k)), abs=1e-6)
 
     def test_degenerate_time_zero(self):
         tp = TimePoint.from_time(0.0)
@@ -386,15 +384,16 @@ class TestAbsorption:
 
 
 class TestFloatRange:
-    """From i of about 1030 on, C(i, j) leaves the float range."""
+    """From i of about 1030 on, C(i, j) leaves the float range; the Gumbel-min
+    forms, which need no C(i, j), leave it only where i itself does."""
 
     @pytest.mark.parametrize(
         "call",
         [
             lambda: absorption_cdf(10**4, 1100, 1.0),
             lambda: block_tail_via_duality(10**4, 1100, TimePoint.from_time(1.0)),
-            lambda: edgeworth_cdf(1000, 1100, 0.5, 3),
-            lambda: edgeworth_d(2, 1100, 0.5),
+            lambda: edgeworth_cdf(1000, 10**400, 0.5, 3),
+            lambda: gumbel_limit_cdf(10**400, 0.5),
             lambda: fixation_transition(1100, 1101, TimePoint.from_time(1.0), "binomial"),
         ],
     )
@@ -402,29 +401,12 @@ class TestFloatRange:
         with pytest.raises(NumericInstabilityError, match="exceeds the float range"):
             call()
 
-    def test_reciprocal_factorial_moment_past_float_factorial(self):
-        tp = TimePoint.from_time(1.0)
-        for k in (1, 2, 22, 23, 169):  # the float expression, unchanged
-            float_form = tp.alpha / (math.factorial(k) * (tp.alpha + k))
-            assert reciprocal_factorial_moment(tp, k) == float_form
-        # from k = 170 on, k! (alpha + k) leaves the float range: the exact value, rounded once
-        alpha = Fraction(tp.alpha)
-        for k in (170, 171, 172, 180):
-            exact = alpha / (math.factorial(k) * (alpha + k))
-            assert reciprocal_factorial_moment(tp, k) == float(exact)
-        assert reciprocal_factorial_moment(tp, 170) == pytest.approx(2.9753345506414e-310, rel=1e-12)
-        assert reciprocal_factorial_moment(tp, 171) == pytest.approx(1.7298e-312, rel=1e-4)
-        assert reciprocal_factorial_moment(tp, 400) == 0.0
-
-    @pytest.mark.parametrize("t", [0.1, 1.0, 3.0])
-    def test_reciprocal_factorial_moment_at_float_factorial_edge(self, t):
-        # 170! is a float and 170! (alpha + 170) is not
-        tp = TimePoint.from_time(t)
-        alpha = Fraction(tp.alpha)
-        exact = float(alpha / (math.factorial(170) * (alpha + 170)))
-        assert exact > 0.0 and reciprocal_factorial_moment(tp, 170) == exact
-        m = [reciprocal_factorial_moment(tp, k) for k in (169, 170, 171)]
-        assert m[0] > m[1] > m[2] > 0.0
+    def test_edgeworth_past_binomial_range_answers(self):
+        assert edgeworth_cdf(1000, 1100, 0.5, 3) == 1.0
+        assert edgeworth_cdf(1000, 2**1023, 0.5, 3) == 1.0
+        for K in (0, 3, 12):
+            assert edgeworth_cdf(1000, 10**5, 0.0, K) == 1.0
+            assert edgeworth_cdf(1000, 10**5, 40.0, K) == 1.0
 
 
 class TestEdgeworth:
@@ -432,11 +414,6 @@ class TestEdgeworth:
         assert gumbel_cumulant(1) == pytest.approx(EULER_GAMMA)
         assert gumbel_cumulant(2) == pytest.approx(math.pi**2 / 6)
         assert gumbel_cumulant(3) == pytest.approx(2 * ZETA[3])
-
-    def test_gumbel_moments(self):
-        assert gumbel_moment(0) == 1.0
-        assert gumbel_moment(1) == pytest.approx(EULER_GAMMA)
-        assert gumbel_moment(2) == pytest.approx(EULER_GAMMA**2 + math.pi**2 / 6)
 
     def test_c_coefficients(self):
         c = edgeworth_c(3)
@@ -446,14 +423,15 @@ class TestEdgeworth:
         assert c[3] == pytest.approx(0.042003, abs=1e-5)
 
     def test_c_matches_mpmath_taylor_coefficients(self):
-        # the recursion over the Gumbel cumulants, against 50-digit Taylor
-        # coefficients of 1/Gamma(1-x), to the last bits of c_0..c_12
+        # the stored c_0..c_12 are the 50-digit Taylor coefficients of
+        # 1/Gamma(1-x), correctly rounded
         mpmath = pytest.importorskip("mpmath")
         with mpmath.workdps(50):
             want = mpmath.taylor(lambda x: mpmath.rgamma(1 - x), 0, 12)
             errs = [abs(mpmath.mpf(c) - w) for c, w in zip(edgeworth_c(12), want)]
         assert len(errs) == 13
         assert max(errs) < 1e-16
+        assert edgeworth_c(12) == tuple(float(w) for w in want)
 
     def test_c_matches_reciprocal_gamma_series(self):
         # c_k are the Taylor coefficients of 1/Gamma(1-x): check by finite
@@ -465,12 +443,58 @@ class TestEdgeworth:
             assert series == pytest.approx(f, abs=5e-6)
 
     def test_d_forms_agree(self):
-        for k in range(0, 6):
-            for i in range(1, 6):
-                for x in (-2.0, -1.0, 0.0, 1.0, 2.0):
-                    assert edgeworth_d(k, i, x) == pytest.approx(
-                        d_stirling(k, i, x), abs=1e-12
-                    )
+        # the library's sum against sum_k c_k e^(-kx) d_stirling / ln^k
+        assert analytics._STIRLING2 == [tuple(stirling_second(k, m) for m in range(k + 1)) for k in range(13)]
+        for n in (10, 1000):
+            ln = math.log(n)
+            for K in range(6):
+                c = edgeworth_c(K)
+                for i in range(1, 6):
+                    for x in (-2.0, -1.0, 0.0, 1.0, 2.0):
+                        want = math.fsum(
+                            c[k] * math.exp(-k * x) * d_stirling(k, i, x) / ln**k for k in range(K + 1)
+                        )
+                        assert edgeworth_cdf(n, i, x, K) == pytest.approx(want, abs=1e-12)
+
+    def test_returned_values_within_1e9_of_mpmath(self):
+        # Every value returned is within 1e-9 of the expansion at 60 digits, with
+        # the exact c_k; around the bulk, x = -log log i, it may raise instead.
+        mpmath = pytest.importorskip("mpmath")
+        answered = 0
+        with mpmath.workdps(60):
+            c = [mpmath.mpf(1)]  # 1/Gamma(1 - t) = exp(-gamma t - sum_k zeta(k) t^k / k)
+            for k in range(1, 13):
+                zeta_terms = [mpmath.zeta(j) * c[k - j] for j in range(2, k + 1)]
+                c.append(-mpmath.fsum([mpmath.euler * c[k - 1], *zeta_terms]) / k)
+            for i in (23, 60, 100, 1100, 10**5):
+                bulk = -math.log(math.log(i))
+                for x in (bulk - 1.0, bulk - 0.5, bulk, bulk + 0.5, bulk + 1.0, 40.0, 800.0):
+                    F = mpmath.exp(-mpmath.exp(-mpmath.mpf(x)))
+                    d = [1 - (1 - F) ** i] + [
+                        mpmath.fsum(
+                            (-1) ** (m - 1) * stirling_second(k, m) * mpmath.ff(i, m) * F**m * (1 - F) ** (i - m)
+                            for m in range(1, min(k, i) + 1)
+                        )
+                        for k in range(1, 13)
+                    ]
+                    for n in (100, 10**6):
+                        r = mpmath.exp(-mpmath.mpf(x)) / mpmath.log(n)
+                        for K in (0, 6, 12):
+                            try:
+                                value = edgeworth_cdf(n, i, x, K)
+                            except NumericInstabilityError:
+                                continue
+                            want = mpmath.fsum(c[k] * r**k * d[k] for k in range(K + 1))
+                            assert abs(value - want) <= 1e-9, (n, i, x, K, value, want)
+                            answered += 1
+        assert answered >= 150
+        for i in (2**62, 10**400):
+            for x in (-6.0, -3.76, 0.0, 40.0):
+                for K in (0, 6, 12):
+                    try:
+                        assert not math.isnan(edgeworth_cdf(1000, i, x, K))
+                    except NumericInstabilityError:
+                        pass
 
     def test_order_zero_is_gumbel_limit(self):
         for i in (1, 2, 4):
@@ -490,7 +514,6 @@ class TestEdgeworth:
 
     def test_left_tail_is_zero(self):
         # past x = -709.8 exp(-x) overflows; F = exp(-exp(-x)) is 0.0 from -6.7 on
-        assert edgeworth_d(1, 2, -800.0) == 0.0
         assert edgeworth_cdf(1000, 2, -120.0, 6) == 0.0
         assert edgeworth_cdf(1000, 2, -710.0, 0) == 0.0
         assert edgeworth_cdf(1000, 1, -math.inf, 12) == 0.0
@@ -501,30 +524,28 @@ class TestEdgeworth:
         for K in (0, 3, 12):
             for x in (-6.9, -6.5, -6.0):
                 assert abs(edgeworth_cdf(1000, 3, x, K)) < 1e-150
-            assert edgeworth_d(K, 3, -6.9) == 0.0
 
     @pytest.mark.parametrize("n, i, x, K", [(1000, 100, 3.0, 0), (1000, 100, 0.5, 3), (1000, 60, 3.0, 0)])
-    def test_cancelling_sum_raises(self, n, i, x, K):
-        # summed anyway, these give -9.8e11, -219 and -1.8: the alternating
-        # Gumbel-min terms reach 1e-9 times 2^52 and more
-        with pytest.raises(NumericInstabilityError, match="rounding bound"):
-            edgeworth_cdf(n, i, x, K)
-        with pytest.raises(NumericInstabilityError, match="rounding bound"):
-            edgeworth_d(K, i, x)
+    def test_former_cancelling_sums_answer(self, n, i, x, K):
+        # the alternating binomial sums gave -9.8e11, -219 and -1.8 here; every
+        # Stirling term carries (1 - F)^(i - m) < 1e-30, so the value rounds to 1
+        assert edgeworth_cdf(n, i, x, K) == 1.0
 
     def test_rounding_bound_holds_below_onset(self):
-        # the bound at i = 20, x = 3 is about 1.4e-10: the value is returned, within it
         for K in (0, 3, 6):
             assert edgeworth_cdf(1000, 20, 3.0, K) == pytest.approx(1.0, abs=1e-3)
-        assert edgeworth_cdf(1000, 20, 3.0, 0) == pytest.approx(gumbel_limit_cdf(20, 3.0), abs=1e-9)
+        assert edgeworth_cdf(1000, 20, 3.0, 0) == gumbel_limit_cdf(20, 3.0)
+
+    def test_rounding_of_one_minus_f_raises(self):
+        # where F < 2^-53, 1 - F rounds to 1 and (1 - F)^i to 1 whatever i F is:
+        # at i = 2^62, x = -3.76, i F is about 0.9
+        for K in (0, 6, 12):
+            with pytest.raises(NumericInstabilityError, match="rounding bound"):
+                edgeworth_cdf(1000, 2**62, -3.76, K)
 
     def test_nan_x_raises(self):
-        for call in (
-            lambda: edgeworth_d(1, 2, math.nan),
-            lambda: edgeworth_cdf(1000, 2, math.nan, 3),
-        ):
-            with pytest.raises(ValueError, match="x = nan"):
-                call()
+        with pytest.raises(ValueError, match="x = nan"):
+            edgeworth_cdf(1000, 2, math.nan, 3)
 
     def test_c_cached_once_per_order(self):
         orders = range(13)

@@ -332,12 +332,13 @@ class TestExitCodes:
         "argv",
         [
             ["absorption", "--n", "10000", "--i", "1100", "--t", "1"],
-            ["edgeworth", "--n", "1000", "--i", "1100", "--x", "0.5", "--K", "3"],
+            ["edgeworth", "--n", "1000", "--i", str(10**400), "--x", "0.5", "--K", "3"],
             ["transition", "--i", "1100", "--j", "1101", "--t", "1", "--method", "binomial"],
         ],
     )
     def test_binomial_past_float_range_exit_one(self, capsys, argv):
-        # C(i, j) leaves the float range from i of about 1030 on
+        # C(i, j) leaves the float range from i of about 1030 on; edgeworth
+        # needs no C(i, j) and leaves it only with i itself
         assert run(argv) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -350,9 +351,10 @@ class TestExitCodes:
             ["limits", "--method", "moment", "--t", "1", "--x", "1000"],
             ["limits", "--method", "moment", "--t", "1", "--x", "inf"],
             ["limits", "--method", "log-cumulant-neveu", "--t", "400", "--K", "2"],
-            ["edgeworth", "--n", "1000", "--i", "100", "--x", "3", "--K", "0"],
-            ["edgeworth", "--n", "1000", "--i", "100", "--x", "0.5", "--K", "3"],
-            ["edgeworth", "--n", "1000", "--i", "60", "--x", "3", "--K", "0"],
+            ["absorption", "--n", "30", "--i", "29", "--t", "3"],
+            ["transition", "--i", "60", "--j", "65", "--t", "1", "--method", "binomial"],
+            # 1 - F rounds to 1 at F = 2e-19, where i F is about 1
+            ["edgeworth", "--n", "1000", "--i", str(2**62), "--x", "-3.76", "--K", "0"],
         ],
     )
     def test_past_float_range_or_cancelling_exit_one(self, capsys, argv):
@@ -360,6 +362,21 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("numeric instability:")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["edgeworth", "--n", "1000", "--i", "1100", "--x", "0.5", "--K", "3"],
+            ["edgeworth", "--n", "1000", "--i", "100", "--x", "3", "--K", "0"],
+            ["edgeworth", "--n", "1000", "--i", "100", "--x", "0.5", "--K", "3"],
+            ["edgeworth", "--n", "1000", "--i", "60", "--x", "3", "--K", "0"],
+        ],
+    )
+    def test_edgeworth_without_binomials_exit_zero(self, capsys, argv):
+        # the binomial sums overflowed or cancelled here; every Stirling term
+        # carries (1 - F)^(i - m) < 1e-30, so the value rounds to 1
+        assert run([*argv, "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["value"] == 1.0
 
     def test_log_cumulant_ml_past_alpha_underflow(self, capsys):
         # the log-cumulant methods build no TimePoint, so e^-t = 0 is no error

@@ -12,14 +12,15 @@ The renewal table of the convolution route grows by a moment recurrence;
 its reference is the renewal convolution on the same integer numerators,
 and its snapshots must be equal.
 
-The block survival sum and the Edgeworth point do their float arithmetic
-in one pass, with no helper call per term.  Their references below are
-the same sums written with ``signed_log_gamma`` and ``math.comb`` per
-term: every float must be bit-identical and every raise of the same type
-(the Edgeworth references raise on the same rounding bound as the
-library), and a second guard test makes those helpers raise under the
-kernels.  (The hitting quadrature has its per-node reference in
-``test_analytics.py``.)
+The block survival sum does its float arithmetic in one pass, with no
+helper call per term.  Its reference below is the same sum written with
+``signed_log_gamma`` and ``math.comb`` per term: every float must be
+bit-identical and every raise of the same type.  The Edgeworth point sums
+d_k in its Stirling form, a term per S(k, m); its reference is the binomial
+form sum_j (-1)^(j-1) C(i, j) j^k F^j with ``math.comb`` per term, and the two
+must agree within their rounding bounds, and bit for bit on the guarded
+edges.  A second guard test makes those helpers raise under the kernels.
+(The hitting quadrature has its per-node reference in ``test_analytics.py``.)
 """
 
 import math
@@ -36,7 +37,6 @@ from bscoal.analytics import (
     absorption_cdf,
     block_tail_via_duality,
     edgeworth_cdf,
-    edgeworth_d,
     fixation_transition,
     hitting_gf_coefficients,
     hitting_probability,
@@ -176,50 +176,29 @@ def block_tail_reference(n: int, i: int, alpha: float) -> float:
     return min(max(val, 0.0), 1.0)
 
 
-def _gumbel_min_reference_terms(k: int, i: int, x: float) -> list[float]:
-    # F^j (-1)^{j-1} C(i,j) j^k for j = 1..i, with F the Gumbel CDF at x
-    F = math.exp(-math.exp(-x))
-    return [(F**j) * ((-1) ** (j - 1)) * math.comb(i, j) * (j**k) for j in range(1, i + 1)]
-
-
-def _check_rounding_reference(abs_sum: float) -> None:
-    # the alternating sums may be off by 2^-52 times the sum of their absolute terms
-    if abs_sum * 2.0**-52 > 1e-9:
-        raise NumericInstabilityError(f"rounding bound {abs_sum * 2.0**-52} exceeds 1e-9")
-
-
-def edgeworth_d_reference(k: int, i: int, x: float) -> float:
-    # sum_{j=1..i} F^j (-1)^{j-1} C(i,j) j^k with F the Gumbel CDF at x
-    if k < 0 or i < 1:
-        raise ValueError(f"need k >= 0 and i >= 1, got k={k}, i={i}")
-    if math.isnan(x):
-        raise ValueError(f"x must be a number, got x = {x}")
-    if x <= -7.0:
-        return 0.0
-    terms = _gumbel_min_reference_terms(k, i, x)
-    _check_rounding_reference(math.fsum(map(abs, terms)))
-    return math.fsum(terms)
-
-
-def edgeworth_cdf_reference(n: int, i: int, x: float, K: int) -> float:
-    # sum_{k=0..K} c_k d_k(x) e^{-kx} / log^k n
+def edgeworth_cdf_reference(n: int, i: int, x: float, K: int) -> tuple[float, float]:
+    # sum_{k=0..K} c_k d_k(x) e^{-kx} / log^k n, with d_k = sum_{j=1..i} F^j (-1)^{j-1} C(i,j) j^k
+    # and F the Gumbel CDF at x, and the sum's rounding bound: 2^-52 per term of d_k, and
+    # the rounding of F, (1 + e^-x) 2^-52 relative, times the term's sensitivity j.
     if n < 3 or i < 1:
         raise ValueError(f"need n >= 3 and i >= 1, got n={n}, i={i}")
     c = analytics.edgeworth_c(K)
     if math.isnan(x):
         raise ValueError(f"x must be a number, got x = {x}")
     if x <= -7.0:
-        return 0.0
+        return 0.0, 0.0
     if x == math.inf:
-        return 1.0
+        return 1.0, 0.0
     ln = math.log(n)
-    parts, abs_sum = [], 0.0
+    y = math.exp(-x)
+    F = math.exp(-y)
+    parts, bound = [], 0.0
     for k in range(K + 1):
-        terms = _gumbel_min_reference_terms(k, i, x)
-        parts.append(c[k] * math.fsum(terms) * math.exp(-k * x) / ln**k)
-        abs_sum += abs(c[k]) * math.exp(-k * x) / ln**k * math.fsum(map(abs, terms))
-    _check_rounding_reference(abs_sum)
-    return math.fsum(parts)
+        terms = [(F**j) * ((-1) ** (j - 1)) * math.comb(i, j) * (j**k) for j in range(1, i + 1)]
+        w = c[k] * math.exp(-k * x) / ln**k
+        parts.append(w * math.fsum(terms))
+        bound += abs(w) * math.fsum(abs(t) * (1.0 + (1.0 + y) * j) for j, t in enumerate(terms, 1))
+    return math.fsum(parts), bound * 2.0**-52
 
 
 def outcome(fn, *args) -> str:
@@ -264,13 +243,26 @@ EDGEWORTH_X = (-800.0, -8.0, -7.0, -6.99, -3.0, -1.0, -0.05, 0.0, 0.5, 2.0, 10.0
 
 @pytest.mark.parametrize("i", [1, 2, 3, 5, 10, 29, 50])
 def test_edgeworth_bit_identical_to_reference(i):
+    # Bit for bit, or the same raise, on the guarded edges: x <= -7, x = inf, NaN,
+    # bad n and K = 13.  Elsewhere, where the reference's rounding bound is at most
+    # 1e-9, the two agree within it plus i 2^-52, what rounding 1 - F costs
+    # d_0 = 1 - (1 - F)^i; the library must answer there.
+    answered = 0
     for x in EDGEWORTH_X:
-        for k in range(13):
-            assert outcome(edgeworth_d, k, i, x) == outcome(edgeworth_d_reference, k, i, x), (k, i, x)
-        for n in (3, 10, 1000, 10**6, 10**9):
+        for n in (2, 3, 10, 1000, 10**6, 10**9):
             for K in range(14):  # K = 13 raises
-                want = outcome(edgeworth_cdf_reference, n, i, x, K)
-                assert outcome(edgeworth_cdf, n, i, x, K) == want, (n, i, x, K)
+                try:
+                    want, bound = edgeworth_cdf_reference(n, i, x, K)
+                except ValueError:
+                    with pytest.raises(ValueError):
+                        edgeworth_cdf(n, i, x, K)
+                    continue
+                if bound == 0.0:
+                    assert outcome(edgeworth_cdf, n, i, x, K) == want.hex(), (n, i, x, K)
+                elif bound <= 1e-9:
+                    assert abs(edgeworth_cdf(n, i, x, K) - want) <= bound + i * 2.0**-52, (n, i, x, K)
+                    answered += 1
+    assert answered >= 100
 
 
 @pytest.mark.parametrize("t", [0.1, 0.5, 1.0, 3.0])
@@ -431,13 +423,13 @@ def test_float_kernels_call_no_helpers(monkeypatch):
 
     monkeypatch.setattr(analytics, "signed_log_gamma", forbidden, raising=False)
     monkeypatch.setattr(combinatorics, "signed_log_gamma", forbidden)
-    monkeypatch.setattr(analytics, "edgeworth_d", forbidden)
-    monkeypatch.setattr(analytics, "gumbel_moment", forbidden)
     monkeypatch.setattr(analytics, "gumbel_cumulant", forbidden)
+    monkeypatch.setattr(analytics, "stirling_second", forbidden)
+    monkeypatch.setattr(combinatorics, "stirling_second", forbidden)
     monkeypatch.setattr(math, "comb", forbidden)
     with pytest.raises(HelperCall):
-        analytics.edgeworth_d(1, 2, 0.5)
-    analytics.edgeworth_c.cache_clear()  # so the recursion runs under the guard
+        analytics.stirling_second(3, 2)
+    analytics.edgeworth_c.cache_clear()  # so every order is built under the guard
     for K in range(13):
         analytics.edgeworth_c(K)
     assert analytics.edgeworth_c.cache_info().currsize == 13

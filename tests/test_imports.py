@@ -5,7 +5,9 @@ without it; dataclasses (with inspect, ast and dis) and csv are not needed
 either.  The checks are structural (which modules load), not timings.
 """
 
+import ast
 import copy
+import glob
 import math
 import os
 import pickle
@@ -119,6 +121,30 @@ class TestPackageSurface:
         with pytest.raises(AttributeError, match="no_such_name"):
             bscoal.no_such_name
         assert not hasattr(bscoal, "np")
+
+
+def _unused_imports(path: str) -> list[str]:
+    """Names a module's top-level imports bind that it never reads, nor lists in __all__."""
+    with open(path) as f:
+        tree = ast.parse(f.read())
+    bound = []
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            bound += [a.asname or a.name.partition(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [a.asname or a.name for a in node.names]
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:  # re-exports: the string entries of __all__
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            read |= {e.value for e in node.value.elts if isinstance(e, ast.Constant)}
+    return [name for name in bound if name not in read]
+
+
+@pytest.mark.parametrize(
+    "path", sorted(glob.glob(os.path.join(SRC, "bscoal", "*.py"))), ids=os.path.basename
+)
+def test_no_unused_module_level_import(path):
+    assert _unused_imports(path) == []
 
 
 _ROWS = ((Fraction(1), Fraction(2)), (Fraction(0), Fraction(1)))

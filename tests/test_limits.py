@@ -191,7 +191,19 @@ class TestExactCdfs:
             for cdf in (mittag_leffler_cdf, neveu_cdf):
                 assert np.all(cdf(tp, np.array([-np.inf, -3.0, 0.0])) == 0.0)
                 assert cdf(tp, np.inf) == pytest.approx(1.0, abs=1e-15)
-                assert math.isnan(cdf(tp, math.nan))
+
+    @pytest.mark.parametrize("t", [0.0, 1.0])
+    def test_nan_raises_and_one_type_per_shape(self, t):
+        tp = TimePoint.from_time(t)
+        for cdf in (mittag_leffler_cdf, neveu_cdf):
+            for x in (math.nan, np.array([0.5, math.nan])):
+                with pytest.raises(ValueError, match="nan"):
+                    cdf(tp, x)
+            for x in (0.0, 0.5, 2.0, math.inf, np.float64(3.0), np.array(2.0)):
+                assert type(cdf(tp, x)) is float
+            for shape in ((1,), (3,), (2, 2)):
+                out = cdf(tp, np.full(shape, 2.0))
+                assert type(out) is np.ndarray and out.shape == shape
 
     def test_monotone(self):
         tp = TimePoint.from_time(1.0)
