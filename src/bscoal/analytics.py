@@ -6,7 +6,8 @@ convolution and Stirling routes) are returned as ``Fraction``; the rest are
 double precision floats evaluated through log-gamma.  The exact kernels
 (the renewal moment recurrence, the Stirling hitting sums and the Stirling
 transition sum) accumulate plain integers over one known denominator and
-divide once at the end, so a float result is the correctly rounded value
+divide once at the end: the recurrence keeps each hitting mass as the
+``Fraction`` it yields, and a float result is the correctly rounded value
 of the exact rational.
 
 Conventions: states are 1-based positive integers; ``alpha`` always means
@@ -102,13 +103,20 @@ def fixation_pgf(i: int, tp: TimePoint, z: float) -> float:
     return (1.0 - (1.0 - z) ** tp.alpha) ** i
 
 
-def _stirling_pairs(i: int, j: int) -> list[int]:
+def _stirling_pairs(i: int, j: int, route: str, top: str) -> list[int]:
     """S(k, i) s(j, k) for k = i..j.
 
     The transition and hitting probabilities of the fixation line are two
     weightings of one spectral sum, (-1)^(i+j) (i!/j!) sum_k S(k,i) s(j,k) w_k:
     w_k = alpha^k gives p_ij(t), and w_k = j/k the probability of hitting j.
+    Past DEFAULT_NMAX it raises ValueError before reading a row, naming
+    ``route`` and the state ``top`` = j.
     """
+    if j > DEFAULT_NMAX:
+        raise ValueError(
+            f"{route} needs Stirling numbers up to {top} = {j}, "
+            f"past the table bound DEFAULT_NMAX = {DEFAULT_NMAX}"
+        )
     return [stirling_second(k, i) * stirling_first(j, k) for k in range(i, j + 1)]
 
 
@@ -116,10 +124,11 @@ def _transition_stirling(i: int, j: int, alpha: float) -> float:
     # the pair sum at w_k = alpha^k, exactly: with alpha = a/b (b a power of
     # two) the sum times b^j / a^i is the integer
     # sum_k S(k,i) s(j,k) a^(k-i) b^(j-k), built by Horner from k = j down.
+    pairs = _stirling_pairs(i, j, f"stirling transition p({i},{j})", "j")
     a, b = alpha.as_integer_ratio()
     acc = 0
     b_pow = 1
-    for pair in reversed(_stirling_pairs(i, j)):
+    for pair in reversed(pairs):
         acc = acc * a + pair * b_pow
         b_pow *= b
     sign = -1 if (i + j) % 2 else 1
@@ -140,11 +149,6 @@ def fixation_transition(i: int, j: int, tp: TimePoint, formula: str = "stirling"
     if j < i:
         return 0.0  # the fixation line is nondecreasing
     if formula == "stirling":
-        if j > DEFAULT_NMAX:
-            raise ValueError(
-                f"stirling transition p({i},{j}) needs Stirling numbers up to j = {j}, "
-                f"past the table bound DEFAULT_NMAX = {DEFAULT_NMAX}"
-            )
         val = _transition_stirling(i, j, tp.alpha)
     elif formula == "binomial":
         try:
@@ -234,58 +238,54 @@ class _RenewalMasses:
 
     f(0) = 1 and f(d) = sum_{m=1..d} f(d-m) / (m (m+1)), which is
     f(d) = (1/d!) int_0^1 P_d(x) dx with P_d(x) = x (x+1) ... (x+d-1), the
-    integrand of the integral route.  L = lcm(1..d+1) equals
-    lcm{m (m+1) : m <= d}, the common denominator of the renewal weights, so
-    every f(k), k <= d, is an integer over the same W = d! L as the renewal
-    sum gives.  The table grows by moments instead: J_k(m) = L int_0^1 x^m
-    P_k(x) dx is an integer for m + k <= d, J_0(m) = L / (m+1),
+    integrand of the integral route.  The table grows by moments: with
+    L = lcm(1..d+1), J_k(m) = L int_0^1 x^m P_k(x) dx is an integer for
+    m + k <= d, J_0(m) = L / (m+1),
     J_k(m) = J_{k-1}(m+1) + (k-1) J_{k-1}(m) (from P_k = P_{k-1} (x + k - 1)),
-    and f(k) k! L = J_k(0).  The table keeps the numerators f(k) W and the
-    anti-diagonal F[k] = J_k(d - k).  One more entry is a running sum over F
-    of small-integer multiples, F' = accumulate((k F[k] for k <= d),
-    initial=L / (d+2)), whose last element is J_{d+1}(0).  Growth moves W to
-    (d+1)! L', so the stored numerators take the factor d+1 and, when L grows
-    (at prime powers), L' / L, as does F.  The numerators, F and W grow
-    under one lock.
+    and f(k) = J_k(0) / (k! L).  The table keeps each f(k) as a Fraction and
+    the anti-diagonal F[k] = J_k(d - k).  One more entry is a running sum over
+    F of small-integer multiples, F' = accumulate((k F[k] for k <= d),
+    initial=L / (d+2)), whose last element is J_{d+1}(0).  When L grows (at
+    prime powers) F takes the factor L' / L.  The masses and F grow under one
+    lock.
     """
 
     def __init__(self):
         self._lock = threading.Lock()
-        self._nums = [1]
+        self._masses = [Fraction(1)]
         self._frontier = [1]
         self._lcm = 1
-        self._den = 1
 
-    def upto(self, d: int) -> tuple[list[int], int]:
-        """([f(0) W, ..., f(d) W], W), one snapshot, for d <= _RENEWAL_MAX_D."""
+    def upto(self, d: int) -> list[Fraction]:
+        """[f(0), ..., f(d)], one snapshot, for d <= _RENEWAL_MAX_D."""
         if d > _RENEWAL_MAX_D:
             raise ValueError(f"renewal route needs j - i <= {_RENEWAL_MAX_D}, got {d}")
         with self._lock:
-            if len(self._nums) <= d:
+            if len(self._masses) <= d:
                 self._grow(d)
-            return self._nums[: d + 1], self._den
+            return self._masses[: d + 1]
 
     def _grow(self, d: int) -> None:
-        nums, frontier = self._nums, self._frontier
-        top = len(nums) - 1
+        top = len(self._masses) - 1
         lcm = math.lcm(self._lcm, *range(top + 2, d + 2))
-        scale = lcm // self._lcm  # L' / L: F runs at the final L from the start
-        if scale > 1:
-            frontier = [v * scale for v in frontier]
+        scale = lcm // self._lcm  # F runs at the final L from the start
+        frontier = [v * scale for v in self._frontier] if scale > 1 else self._frontier
+        den = factorial(top) * lcm
+        masses = []
         for k in range(top + 1, d + 1):
-            step, scale = scale * k, 1  # W_k / W_{k-1}, and L' / L on the first step
-            nums = [v * step for v in nums]
             frontier = list(itertools.accumulate(
                 map(operator.mul, range(k), frontier), initial=lcm // (k + 1)
             ))
-            nums.append(frontier[k])
-        self._nums, self._frontier = nums, frontier
-        self._lcm, self._den = lcm, factorial(d) * lcm
+            den *= k
+            masses.append(Fraction(frontier[k], den))
+        self._masses += masses
+        self._frontier, self._lcm = frontier, lcm
 
 
 # The table costs O(d^2) products of ~d log2 d-bit integers by integers below
-# d + 1: from cold, d = 300 takes 13-22 ms and d = 1000 0.4-0.6 s, on a
-# 2-vCPU host with Python 3.11; larger gaps have the integral route.
+# d + 1, and one gcd per mass: from cold, d = 300 takes about 11 ms and
+# d = 1000 about 0.3 s, on a 2-vCPU Xeon host with Python 3.11; larger gaps
+# have the integral route.
 _RENEWAL_MAX_D = 1000
 _RENEWAL = _RenewalMasses()
 
@@ -349,9 +349,12 @@ def hitting_probability(i: int, j: int, method: HittingMethod = HittingMethod.CO
 
     Depends on (i, j) only through j - i.  ``method`` is a HittingMethod or
     its value string.  The convolution and both Stirling methods return
-    exact ``Fraction``s; the integral returns a float.  The convolution
-    raises ValueError for j - i > 1000, stirling-double for j > DEFAULT_NMAX
-    and stirling-shift for j - i + 1 > DEFAULT_NMAX; the integral has none.
+    exact ``Fraction``s; the integral returns a float.  ``convolution``
+    names the renewal route: its masses come from the moment recurrence of
+    ``_RenewalMasses``, which gives the renewal convolution's values.  The
+    convolution raises ValueError for j - i > 1000,
+    stirling-double for j > DEFAULT_NMAX and stirling-shift for
+    j - i + 1 > DEFAULT_NMAX; the integral has none.
     """
     method = HittingMethod(method)
     if i < 1 or j < 1:
@@ -360,22 +363,17 @@ def hitting_probability(i: int, j: int, method: HittingMethod = HittingMethod.CO
         return 0.0 if method is HittingMethod.INTEGRAL else Fraction(0)
     d = j - i
     if method is HittingMethod.CONVOLUTION:
-        nums, den = _RENEWAL.upto(d)
-        return Fraction(nums[d], den)
+        return _RENEWAL.upto(d)[d]
     if method is HittingMethod.INTEGRAL:
         return _hitting_integral(d)
+    top = "j"
     if method is HittingMethod.STIRLING_SHIFT:
-        i, j = 1, d + 1  # the value depends on d only; every S(k, 1) is 1
-    if j > DEFAULT_NMAX:
-        top = "j - i + 1" if method is HittingMethod.STIRLING_SHIFT else "j"
-        raise ValueError(
-            f"{method.value} hitting route needs Stirling numbers up to {top} = {j}, "
-            f"past the table bound DEFAULT_NMAX = {DEFAULT_NMAX}"
-        )
+        i, j, top = 1, d + 1, "j - i + 1"  # the value depends on d only; every S(k, 1) is 1
+    pairs = _stirling_pairs(i, j, f"{method.value} hitting route", top)
     # the pair sum at w_k = j/k: (-1)^(i+j) i!/(j-1)! sum_k S(k,i) s(j,k) / k,
     # over m = lcm(i..j)
     m = math.lcm(*range(i, j + 1))
-    acc = sum(pair * (m // k) for k, pair in enumerate(_stirling_pairs(i, j), i))
+    acc = sum(pair * (m // k) for k, pair in enumerate(pairs, i))
     sign = -1 if (i + j) % 2 else 1
     return Fraction(sign * factorial(i) * acc, factorial(j - 1) * m)
 
@@ -385,15 +383,14 @@ def hitting_gf_coefficients(i: int, J: int) -> list[float]:
 
     Since 1 / (1 - sum_{m>=1} z^m / (m (m+1))) = z / ((1-z)(-log(1-z))),
     the coefficients are the renewal masses f(0), ..., f(J - i) of the
-    convolution route, rounded to floats; ValueError for i < 1 and for
-    J - i > 1000.
+    convolution route (the moment recurrence), each correctly rounded to a
+    float; ValueError for i < 1 and for J - i > 1000.
     """
     if i < 1 or J < 1:
         raise ValueError(f"states must be positive, got ({i}, {J})")
     if J < i:
         raise ValueError(f"need J >= i, got i={i}, J={J}")
-    nums, den = _RENEWAL.upto(J - i)
-    return [num / den for num in nums]  # int / int: correctly rounded, as float(Fraction)
+    return [float(f) for f in _RENEWAL.upto(J - i)]
 
 
 def hitting_asymptotic(j: int) -> float:
@@ -423,7 +420,16 @@ def gumbel_limit_cdf(i: int, x: float) -> float:
     if _gumbel_underflows(x):
         return 0.0
     F = math.exp(-math.exp(-x))
-    return 1.0 - (1.0 - F) ** fi
+    return -math.expm1(_log_survival(fi, F))
+
+
+def _log_survival(fi: float, F: float) -> float:
+    """i log(1 - F), the log of (1 - F)^i; -inf at F = 1.
+
+    log1p takes F itself, so where 1 - F rounds to 1 the value keeps -i F,
+    and 1 - (1 - F)^i = -expm1 of it keeps its digits too.
+    """
+    return fi * math.log1p(-F) if F < 1.0 else -math.inf
 
 
 def _float_count(i: int) -> float:
@@ -501,11 +507,8 @@ def edgeworth_c(K: int) -> tuple[float, ...]:
 
 
 # Rows k = 0..12 of the Stirling numbers of the second kind S(k, m), m = 0..k,
-# by S(k, m) = m S(k-1, m) + S(k-1, m-1).
-_STIRLING2 = [(1,)]
-for _k in range(_EDGEWORTH_MAX_ORDER):
-    _row = (*_STIRLING2[-1], 0)
-    _STIRLING2.append(tuple(m * s + _row[m - 1] for m, s in enumerate(_row)))
+# read once here so that edgeworth_cdf calls no helper per term
+_STIRLING2 = [tuple(stirling_second(k, m) for m in range(k + 1)) for k in range(_EDGEWORTH_MAX_ORDER + 1)]
 
 
 def edgeworth_cdf(n: int, i: int, x: float, K: int) -> float:
@@ -513,18 +516,20 @@ def edgeworth_cdf(n: int, i: int, x: float, K: int) -> float:
 
     The expansion is sum_{k<=K} c_k d_k(x) e^(-kx) / ln(n)^k with
     d_k = (e^x d/dx)^k (1 - (1-F)^i), F = exp(-e^-x) the Gumbel CDF.  Since
-    e^x d/dx maps F to F, d_0 = 1 - (1-F)^i, rounded as gumbel_limit_cdf rounds
-    it (so K = 0 is that function), and for k >= 1
+    e^x d/dx maps F to F, d_0 = 1 - (1-F)^i = -expm1(i log1p(-F)), as
+    gumbel_limit_cdf evaluates it (so K = 0 is that function), and for k >= 1
     d_k = sum_{m=1..min(k,i)} (-1)^(m-1) S(k,m) (i)_m F^m (1-F)^(i-m):
     at most 12 terms, each at most S(k,m) m! whatever i is.
 
     Each term's rounding is bounded, in units of 2^-52 relative to the term,
     by 1 for its own operations, plus the rounding of F, 1 + e^-x, times the
     term's sensitivity to it, m + (i-m) F/(1-F), plus i - m for the rounding
-    of 1 - F.  Where the bound summed over the terms exceeds 1e-9 (near the
-    bulk x = -log log i from i of about 5e6 on at K = 0, from about 2000 at
-    K = 12 and n = 100), or where i exceeds the float range, it raises
-    NumericInstabilityError.
+    of 1 - F.  d_0 has no 1 - F: its bound is d_0 for expm1 plus (1-F)^i
+    times the error of u = i log1p(-F), (1 + e^-x) i F/(1-F) from F and
+    3 |u| from log1p, the product and float(i).  Where the bound summed over
+    the terms exceeds 1e-9 (near the bulk x = -log log i from i of about
+    6e6 on at K = 1 and about 600 at K = 12, n = 100; never at K = 0), or
+    where i exceeds the float range, it raises NumericInstabilityError.
     """
     if n < 3:
         raise ValueError(f"need n >= 3 so that log log n is meaningful, got {n}")
@@ -543,20 +548,22 @@ def edgeworth_cdf(n: int, i: int, x: float, K: int) -> float:
     g = [1.0]  # (i)_m F^m, a factor (i - m) F at a time so that no (i)_m overflows alone
     for m in range(M):
         g.append(g[-1] * ((fi - m) * F))
-    P = [q ** (fi - m) for m in range(M + 1)]  # P[0] = (1 - F)^i as in gumbel_limit_cdf
+    P = [q ** (fi - m) for m in range(M + 1)]  # (1 - F)^(i - m)
     r = y / math.log(n)
     Fq = F / q if q else 0.0  # q = 0 leaves only m = i, where (i - m) Fq is 0
-    parts, bound = [1.0 - P[0]], 0.0  # d_0
-    for k in range(K + 1):
+    u = _log_survival(fi, F)
+    parts = [-math.expm1(u)]  # d_0, as gumbel_limit_cdf
+    e = math.exp(u)  # (1 - F)^i, 0.0 at u = -inf
+    bound = parts[0] + (e * ((1.0 + y) * (fi * Fq) - 3.0 * u) if e else 0.0)
+    for k in range(1, K + 1):
         ck = c[k] * r**k
         for m, s in enumerate(_STIRLING2[k][: i + 1]):
-            # S(k, 0) = 0 for k >= 1.  P[m] = 0 where (1-F)^(i-m) underflows or F
-            # rounds to 1: a negligible term, whose g[m] may be inf.
+            # S(k, 0) = 0.  P[m] = 0 where (1-F)^(i-m) underflows or F rounds
+            # to 1: a negligible term, whose g[m] may be inf.
             if not (s and P[m]):
                 continue
             t = ck * s * g[m] * P[m]
-            if k:  # the k = 0 term, -(1-F)^i, is in d_0
-                parts.append(t if m % 2 else -t)
+            parts.append(t if m % 2 else -t)
             bound += abs(t) * (1.0 + (1.0 + y) * (m + (i - m) * Fq) + i - m)
     bound *= 2.0**-52
     if not bound <= 1e-9:

@@ -50,6 +50,11 @@ def _fmt(v):
     return v
 
 
+def _matrix(m) -> dict:
+    """A TriangularMatrix as a JSON object, its entries through ``_fmt``."""
+    return {"n": m.n, "orientation": m.orientation, "entries": [[_fmt(v) for v in row] for row in m.rows]}
+
+
 def _emit_record(fmt: str, record: dict) -> None:
     record = {k: _fmt(v) for k, v in record.items()}
     if fmt == "json":
@@ -97,9 +102,9 @@ def _cmd_spectral(args) -> int:
                 {
                     "kind": kind.value,
                     "n": n,
-                    "R": dec.R.to_jsonable(),
+                    "R": _matrix(dec.R),
                     "D": [_fmt(d) for d in dec.D],
-                    "L": dec.L.to_jsonable(),
+                    "L": _matrix(dec.L),
                 }
             )
         )

@@ -69,6 +69,30 @@ class EstimateWithError(namedtuple("EstimateWithError", "value std_error reps"))
     __slots__ = ()
 
 
+#: Work budget of the samplers whose work grows with their inputs, in rounds:
+#: jumps of one path, or steps of a loop vectorized across replicates.  Each
+#: such sampler states its expected rounds and raises ValueError, naming them,
+#: before it draws anything when they pass the budget.
+WORK_BUDGET = 10**7
+
+
+def _check_work(rounds: float, what: str) -> None:
+    """ValueError naming ``what`` when ``rounds`` passes WORK_BUDGET."""
+    if not rounds <= WORK_BUDGET:
+        raise ValueError(
+            f"{what} come to about {rounds:.3g}, past the work budget WORK_BUDGET = {WORK_BUDGET:.0e} rounds"
+        )
+
+
+def _climb_rounds(gap: int) -> float:
+    """About gap / log gap: the jumps a fixation line, whose increments have
+    P(X > k) = 1/(k+1), takes to climb gap states; inf past the float range."""
+    try:
+        return gap / math.log(max(gap, 3))
+    except OverflowError:
+        return math.inf
+
+
 def replicate_rng(seed: int, index: int = 0) -> np.random.Generator:
     """Deterministic per-replicate stream for (seed, replicate index)."""
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, index])))
@@ -115,11 +139,15 @@ def _path_draws(rng: np.random.Generator):
 
 def simulate_block(n: int, horizon: float, rng: np.random.Generator) -> PathSample:
     """One block counting trajectory from n, run until absorption at 1 or
-    until the next jump would land beyond the horizon (inf runs to absorption)."""
+    until the next jump would land beyond the horizon (inf runs to absorption).
+
+    Work: about n / log n jumps to absorption, whatever the horizon; past
+    WORK_BUDGET it raises ValueError."""
     if n < 1:
         raise ValueError(f"initial state must be positive, got {n}")
     if not horizon >= 0:
         raise ValueError(f"horizon must be >= 0, got {horizon}")
+    _check_work(_climb_rounds(n), f"simulate_block from n={n}: n / log n jumps")
     times: list[float] = []
     states = [n]
     t = 0.0
@@ -138,11 +166,18 @@ def simulate_block(n: int, horizon: float, rng: np.random.Generator) -> PathSamp
 
 def simulate_fixation(n: int, state_cap: int, rng: np.random.Generator) -> PathSample:
     """One fixation-line trajectory from n, stopped after the first jump
-    beyond ``state_cap``."""
+    beyond ``state_cap``, which must be finite.
+
+    Work: about (cap - n) / log(cap - n) jumps; past WORK_BUDGET it raises
+    ValueError."""
     if n < 1:
         raise ValueError(f"initial state must be positive, got {n}")
-    if not state_cap > n:
-        raise ValueError(f"state_cap must exceed the initial state, got {state_cap}")
+    if not n < state_cap < math.inf:
+        raise ValueError(f"state_cap must be finite and exceed the initial state, got {state_cap}")
+    _check_work(
+        _climb_rounds(state_cap - n),
+        f"simulate_fixation from n={n} past {state_cap}: (cap - n) / log(cap - n) jumps",
+    )
     times: list[float] = []
     states = [n]
     t = 0.0
@@ -163,11 +198,15 @@ def simulate_fixation(n: int, state_cap: int, rng: np.random.Generator) -> PathS
 
 def estimate_hitting(i: int, j: int, reps: int, rng: np.random.Generator) -> EstimateWithError:
     """Fraction of fixation-line jump chains from i that visit j before
-    overshooting it."""
+    overshooting it.
+
+    Work: about (j - i) / log(j - i) rounds, each one jump of every live
+    chain; past WORK_BUDGET it raises ValueError."""
     if not (1 <= i <= j):
         raise ValueError(f"need 1 <= i <= j, got ({i}, {j})")
     if reps < 1:
         raise ValueError(f"need reps >= 1, got {reps}")
+    _check_work(_climb_rounds(j - i), f"estimate_hitting from {i} to {j}: (j - i) / log(j - i) rounds")
     if i == j:
         return EstimateWithError(1.0, 0.0, reps)
     states = np.full(reps, i, dtype=np.int64)  # the chains still below j, in index order
@@ -193,15 +232,18 @@ def sample_absorption_times(n: int, i: int, reps: int, rng: np.random.Generator)
     chain that reaches n writes its clock and leaves.  Domain:
     1 <= i <= n <= 2^62; i = n gives zeros.
 
-    Cost: the line's increments have P(X > k) = 1/(k+1), so a chain needs
-    about n / log n rounds to reach n.  n = 1e6, i = 1 with 200 reps takes
-    about 3 s on a 2-vCPU host; by that scaling n = 1e9 takes about half an
-    hour, and n near 2^62 never finishes.  A best-first search of the random
-    recursive tree that builds the coalescent (Goldschmidt and Martin,
-    EJP 10, 2005) would cost O(i log n) per draw instead.
+    Work: the line's increments have P(X > k) = 1/(k+1), so a chain needs
+    about (n - i) / log(n - i) rounds to reach n; past WORK_BUDGET (n of
+    about 1.9e8 at i = 1) it raises ValueError.  n = 1e6, i = 1 with 200
+    reps takes about 3 s on a 2-vCPU host.  A best-first search of the
+    random recursive tree that builds the coalescent (Goldschmidt and
+    Martin, EJP 10, 2005) would cost O(i log n) per draw instead.
     """
     if not 1 <= i <= n <= 2**62:
         raise ValueError(f"need 1 <= i <= n <= 2^62, got i={i}, n={n}")
+    _check_work(
+        _climb_rounds(n - i), f"sample_absorption_times from n={n} to i={i}: (n - i) / log(n - i) rounds"
+    )
     out = np.zeros(reps)
     rows = np.arange(reps if i < n else 0)  # the live chains, in index order
     states = np.full(rows.size, i, dtype=np.int64)
@@ -308,9 +350,10 @@ def sample_block_marginal(n: int, t: float, reps: int, rng: np.random.Generator)
     of min{i : X_1 + ... + X_i >= n}.  Each X_k is 1 with probability
     alpha = e^-t, so the sum is walked one run of ones at a time: a geometric
     run length, then one draw of X given X >= 2, capped at n.  That is about
-    (1 - e^-t) n^(e^-t) rounds per replicate.  Domain: 1 <= n <= 2^62 and
-    t >= 0 (t = inf gives 1).  Draws are exact for n up to about 1e10; past
-    that one state-1 draw near n may be off by one.  At t <= 2^-54, where
+    (1 - e^-t) n^(e^-t) rounds per replicate; past WORK_BUDGET it raises
+    ValueError.  Domain: 1 <= n <= 2^62 and t >= 0 (t = inf gives 1).
+    Draws are exact for n up to about 1e10; past that one state-1 draw near
+    n may be off by one.  At t <= 2^-54, where
     e^-t rounds to 1, the draw is n: the chain jumps by t with probability
     at most (n - 1) t.
     """
@@ -321,6 +364,9 @@ def sample_block_marginal(n: int, t: float, reps: int, rng: np.random.Generator)
         return np.full(reps, n, dtype=np.int64)
     if alpha == 0.0:
         return np.ones(reps, dtype=np.int64)
+    _check_work(
+        (1.0 - alpha) * n**alpha, f"sample_block_marginal from n={n} at t={t!r}: (1 - e^-t) n^(e^-t) rounds"
+    )
     cdf = np.cumsum(_sibuya_pmf(alpha))
     out = np.empty(reps, dtype=np.int64)
     rows = np.arange(reps)

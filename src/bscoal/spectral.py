@@ -94,16 +94,6 @@ class TriangularMatrix(namedtuple("TriangularMatrix", "n orientation rows")):
             self.n, flipped, tuple(zip(*self.rows))
         )
 
-    def to_jsonable(self) -> dict:
-        """JSON-safe dict; rationals serialized as "num/den" strings."""
-        return {
-            "n": self.n,
-            "orientation": self.orientation,
-            "entries": [
-                [f"{v.numerator}/{v.denominator}" for v in row] for row in self.rows
-            ],
-        }
-
 
 class SpectralDecomposition(namedtuple("SpectralDecomposition", "kind n R D L")):
     """Generator ``kind`` truncated at n as R diag(D) L; D is a tuple of Fractions."""

@@ -1,0 +1,8 @@
+"""Hypothesis runs derandomized and without an example database, so every
+run of the suite draws the same examples; each test keeps its own
+``max_examples``."""
+
+from hypothesis import settings
+
+settings.register_profile("deterministic", derandomize=True, database=None)
+settings.load_profile("deterministic")

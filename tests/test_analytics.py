@@ -193,8 +193,8 @@ class TestHitting:
     def test_stirling_routes_name_their_bound(self, monkeypatch):
         # past DEFAULT_NMAX = 256 each Stirling route raises before it reads a
         # row, naming the state, the route and the bound; just inside, it answers
-        def no_rows(i, j):
-            raise AssertionError(f"Stirling row read for ({i}, {j})")
+        def no_rows(n, k):
+            raise AssertionError(f"Stirling row read for ({n}, {k})")
 
         tp = TimePoint.from_time(1.0)
         calls = [
@@ -203,7 +203,8 @@ class TestHitting:
             (lambda: fixation_transition(5, 257, tp), "j = 257", "stirling"),
         ]
         with monkeypatch.context() as m:
-            m.setattr(analytics, "_stirling_pairs", no_rows)
+            m.setattr(analytics, "stirling_first", no_rows)
+            m.setattr(analytics, "stirling_second", no_rows)
             for call, state, route in calls:
                 with pytest.raises(ValueError) as exc:
                     call()
@@ -240,18 +241,16 @@ class TestHitting:
 
     def test_renewal_growth_is_thread_safe(self):
         serial = analytics._RenewalMasses().upto(150)
-        nums, den = serial
         table = analytics._RenewalMasses()
         barrier = threading.Barrier(4)
         seen: list[dict] = [{} for _ in range(4)]
 
         def grow(slot):
-            # each thread climbs to d = 150 in its own stride, and builds
-            # each mass from the numerator and W of one snapshot
+            # each thread climbs to d = 150 in its own stride, and reads
+            # each mass from one snapshot
             barrier.wait()
             for d in [*range(slot + 1, 151, slot + 1), 150]:
-                got_nums, got_den = table.upto(d)
-                seen[slot][d] = Fraction(got_nums[d], got_den)
+                seen[slot][d] = table.upto(d)[d]
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -266,7 +265,7 @@ class TestHitting:
         assert not any(th.is_alive() for th in threads)
         for values in seen:
             assert 150 in values
-            assert all(v == Fraction(nums[d], den) for d, v in values.items())
+            assert all(v == serial[d] for d, v in values.items())
         assert table.upto(150) == serial
 
     @given(j=st.integers(2, 150))
@@ -376,11 +375,26 @@ class TestAbsorption:
         assert gumbel_limit_cdf(3, 0.3) == pytest.approx(1 - (1 - F) ** 3)
 
     def test_gumbel_limit_cdf_left_tail_and_nan(self):
-        # 1 - (1 - F)^i rounds to 0.0 already at x = -6, where F = 6e-176
-        for x in (-6.0, -7.0, -800.0, -math.inf):
+        # at x = -6, F = 6e-176 and the value is i F; from x = -7 on F is 0.0
+        F = math.exp(-math.exp(6.0))
+        assert gumbel_limit_cdf(1, -6.0) == pytest.approx(F, rel=1e-13)
+        assert gumbel_limit_cdf(3, -6.0) == pytest.approx(3 * F, rel=1e-13)
+        for x in (-7.0, -800.0, -math.inf):
             assert gumbel_limit_cdf(1, x) == gumbel_limit_cdf(3, x) == 0.0
         with pytest.raises(ValueError, match="x = nan"):
             gumbel_limit_cdf(2, math.nan)
+
+    @pytest.mark.parametrize("i, x", [(2**62, -3.76), (10**8, -math.log(math.log(1e8)))])
+    def test_gumbel_limit_keeps_i_f(self, i, x):
+        # 1 - (1 - F)^i gave 0.0 at (2^62, -3.76), where 1 - F rounds to 1, and
+        # was 1.8e-9 off at the bulk of i = 1e8; -expm1(i log1p(-F)) keeps i F
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50):
+            F = mpmath.exp(-mpmath.exp(-mpmath.mpf(x)))
+            want = -mpmath.expm1(i * mpmath.log1p(-F))
+        got = gumbel_limit_cdf(i, x)
+        assert abs(got - want) <= 1e-14, (got, want)
+        assert edgeworth_cdf(1000, i, x, 0) == got
 
 
 class TestFloatRange:
@@ -537,11 +551,13 @@ class TestEdgeworth:
         assert edgeworth_cdf(1000, 20, 3.0, 0) == gumbel_limit_cdf(20, 3.0)
 
     def test_rounding_of_one_minus_f_raises(self):
-        # where F < 2^-53, 1 - F rounds to 1 and (1 - F)^i to 1 whatever i F is:
-        # at i = 2^62, x = -3.76, i F is about 0.9
-        for K in (0, 6, 12):
+        # where F < 2^-53, 1 - F rounds to 1 and (1 - F)^(i - m) to 1 whatever
+        # i F is: at i = 2^62, x = -3.76, i F is about 1.  d_0 takes F through
+        # log1p instead, so order 0 answers, as gumbel_limit_cdf does
+        for K in (1, 6, 12):
             with pytest.raises(NumericInstabilityError, match="rounding bound"):
                 edgeworth_cdf(1000, 2**62, -3.76, K)
+        assert edgeworth_cdf(1000, 2**62, -3.76, 0) == gumbel_limit_cdf(2**62, -3.76) > 0.6
 
     def test_nan_x_raises(self):
         with pytest.raises(ValueError, match="x = nan"):

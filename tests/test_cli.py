@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from bscoal import cli
-from bscoal.analytics import TimePoint
+from bscoal.analytics import TimePoint, gumbel_limit_cdf
 from bscoal.cli import _fmt, run
 from bscoal.combinatorics import EULER_GAMMA
 from bscoal.limits import sample_mittag_leffler
@@ -353,8 +353,9 @@ class TestExitCodes:
             ["limits", "--method", "log-cumulant-neveu", "--t", "400", "--K", "2"],
             ["absorption", "--n", "30", "--i", "29", "--t", "3"],
             ["transition", "--i", "60", "--j", "65", "--t", "1", "--method", "binomial"],
-            # 1 - F rounds to 1 at F = 2e-19, where i F is about 1
-            ["edgeworth", "--n", "1000", "--i", str(2**62), "--x", "-3.76", "--K", "0"],
+            # 1 - F rounds to 1 at F = 2e-19, where i F is about 1: the k >= 1
+            # terms carry (1 - F)^(i - m)
+            ["edgeworth", "--n", "1000", "--i", str(2**62), "--x", "-3.76", "--K", "1"],
         ],
     )
     def test_past_float_range_or_cancelling_exit_one(self, capsys, argv):
@@ -377,6 +378,11 @@ class TestExitCodes:
         # carries (1 - F)^(i - m) < 1e-30, so the value rounds to 1
         assert run([*argv, "--format", "json"]) == 0
         assert json.loads(capsys.readouterr().out)["value"] == 1.0
+
+    def test_edgeworth_order_zero_keeps_i_f(self, capsys):
+        # d_0 = -expm1(i log1p(-F)) needs no 1 - F, so order 0 answers there
+        assert run(["edgeworth", "--n", "1000", "--i", str(2**62), "--x", "-3.76", "--K", "0", "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["value"] == gumbel_limit_cdf(2**62, -3.76) > 0.6
 
     def test_log_cumulant_ml_past_alpha_underflow(self, capsys):
         # the log-cumulant methods build no TimePoint, so e^-t = 0 is no error

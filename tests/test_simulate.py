@@ -112,6 +112,11 @@ class TestPaths:
             with pytest.raises(ValueError):
                 simulate_fixation(3, cap, replicate_rng(15))
 
+    def test_fixation_state_cap_must_be_finite(self):
+        # an int state never exceeds inf, so the path would never stop
+        with pytest.raises(ValueError, match="finite"):
+            simulate_fixation(1, math.inf, replicate_rng(15))
+
     def test_path_sample_shape_check(self):
         with pytest.raises(ValueError):
             PathSample("block", 3, np.array([0.5]), np.array([3]))
@@ -731,3 +736,34 @@ class TestStateOneInverse:
         assert sample_fixation_marginal(2, 3.0, 1, _Draws(u, [2])).tolist() == total.tolist()
         with pytest.raises(OverflowError):
             sample_fixation_marginal(3, 3.0, 1, _Draws(u, [3]))
+
+
+@pytest.mark.parametrize(
+    "name, call, work",
+    [
+        ("sample_block_marginal", lambda r: sample_block_marginal(2**62, 0.01, 1, r), "(1 - e^-t) n^(e^-t) rounds"),
+        ("simulate_block", lambda r: simulate_block(2**62, 1.0, r), "n / log n jumps"),
+        ("estimate_hitting", lambda r: estimate_hitting(1, 2**62, 1, r), "(j - i) / log(j - i) rounds"),
+        ("sample_absorption_times", lambda r: sample_absorption_times(2**62, 1, 1, r), "(n - i) / log(n - i) rounds"),
+        ("simulate_fixation", lambda r: simulate_fixation(1, 2**62, r), "(cap - n) / log(cap - n) jumps"),
+        ("simulate_fixation", lambda r: simulate_fixation(1, 10**400, r), "(cap - n) / log(cap - n) jumps"),
+    ],
+)
+def test_work_past_budget_raises_before_drawing(name, call, work):
+    # each of these ran for hours or without end; now each names its work and
+    # draws nothing
+    rng = replicate_rng(45)
+    with pytest.raises(ValueError) as exc:
+        call(rng)
+    msg = str(exc.value)
+    assert name in msg and work in msg and "WORK_BUDGET" in msg, msg
+    assert rng.random() == replicate_rng(45).random()
+
+
+def test_work_budget_admits_the_documented_sizes():
+    # the largest documented inputs sit inside the budget; about 1.9e8 is the
+    # first absorption start it refuses
+    assert simulate._climb_rounds(10**6 - 1) < simulate.WORK_BUDGET < simulate._climb_rounds(2 * 10**8)
+    assert (1 - math.exp(-3.0)) * (10**12) ** math.exp(-3.0) < simulate.WORK_BUDGET
+    with pytest.raises(ValueError, match="WORK_BUDGET"):
+        sample_absorption_times(2 * 10**8, 1, 1, replicate_rng(46))

@@ -1,0 +1,81 @@
+"""Every argument guard that raises ValueError, each reached by one call."""
+
+from fractions import Fraction
+
+import pytest
+
+from bscoal.analytics import (
+    TimePoint,
+    edgeworth_cdf,
+    fixation_marginal,
+    fixation_pgf,
+    fixation_transition,
+    gumbel_cumulant,
+    gumbel_limit_cdf,
+    hitting_gf_coefficients,
+    hitting_probability,
+)
+from bscoal.combinatorics import general_binomial
+from bscoal.limits import siegmund_duality_gap
+from bscoal.simulate import estimate_hitting, replicate_rng, simulate_block, simulate_fixation
+from bscoal.spectral import (
+    GeneratorKind,
+    SpectralDecomposition,
+    TriangularMatrix,
+    build_generator,
+    closed_form_decomposition,
+    eigenvalues,
+    generator_entry,
+    recursive_decomposition,
+    verify_decomposition,
+)
+
+TP = TimePoint.from_time(1.0)
+FIX = GeneratorKind.BS_FIXATION
+ONE = ((Fraction(1),),)
+
+
+def _mismatched_sizes():
+    dec = closed_form_decomposition(FIX, 3)
+    return SpectralDecomposition(FIX, 3, dec.R, dec.D, closed_form_decomposition(FIX, 2).L)
+
+
+GUARDS = {
+    "TimePoint alpha": (lambda: TimePoint(0.0, 1.5), "alpha must lie in"),
+    "fixation_pgf i": (lambda: fixation_pgf(0, TP, 0.5), "initial state must be positive"),
+    "fixation_pgf z": (lambda: fixation_pgf(1, TP, 1.0), r"\|z\| < 1"),
+    "fixation_transition state": (lambda: fixation_transition(0, 2, TP), "states must be positive"),
+    "fixation_transition formula": (lambda: fixation_transition(1, 2, TP, "bogus"), "unknown formula"),
+    "fixation_marginal j": (lambda: fixation_marginal(TP, 0), "state must be positive"),
+    "hitting_probability state": (lambda: hitting_probability(0, 2), "states must be positive"),
+    "hitting_gf_coefficients J": (lambda: hitting_gf_coefficients(3, 2), "need J >= i"),
+    "gumbel_limit_cdf i": (lambda: gumbel_limit_cdf(0, 0.0), "need i >= 1"),
+    "edgeworth_cdf i": (lambda: edgeworth_cdf(100, 0, 0.0, 1), "need i >= 1"),
+    "gumbel_cumulant j < 1": (lambda: gumbel_cumulant(0), "must be positive"),
+    "gumbel_cumulant j > 12": (lambda: gumbel_cumulant(13), "beyond tabulated zeta"),
+    "siegmund_duality_gap reps": (
+        lambda: siegmund_duality_gap(1.0, 1.0, 1.0, 0, replicate_rng(0)),
+        "at least one replicate",
+    ),
+    "simulate_block n": (lambda: simulate_block(0, 1.0, replicate_rng(0)), "initial state must be positive"),
+    "simulate_fixation n": (lambda: simulate_fixation(0, 10, replicate_rng(0)), "initial state must be positive"),
+    "estimate_hitting i > j": (lambda: estimate_hitting(3, 2, 10, replicate_rng(0)), "need 1 <= i <= j"),
+    "general_binomial j": (lambda: general_binomial(1.0, -1), "must be nonnegative"),
+    "TriangularMatrix orientation": (lambda: TriangularMatrix(1, "diagonal", ONE), "orientation must be"),
+    "TriangularMatrix ragged": (lambda: TriangularMatrix(2, "upper", ((1, 0), (1,))), "n x n array"),
+    "TriangularMatrix.entry": (lambda: TriangularMatrix(1, "upper", ONE).entry(1, 2), r"outside 1\.\.1"),
+    "generator_entry state": (lambda: generator_entry(FIX, 0, 1), "states must be positive"),
+    "build_generator n": (lambda: build_generator(FIX, 0), "truncation size must be positive"),
+    "closed_form_decomposition n": (lambda: closed_form_decomposition(FIX, 0), "truncation size must be positive"),
+    "recursive_decomposition count": (
+        lambda: recursive_decomposition(build_generator(FIX, 3), eigenvalues(FIX, 2), FIX),
+        "eigenvalue count",
+    ),
+    "verify_decomposition sizes": (lambda: verify_decomposition(_mismatched_sizes()), "size mismatch"),
+}
+
+
+@pytest.mark.parametrize("call, message", GUARDS.values(), ids=GUARDS.keys())
+def test_guard_raises_value_error(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
