@@ -6,122 +6,71 @@ and hitting probabilities, absorption-time distributions with their
 Gumbel limit and Edgeworth refinements, samplers for the Mittag-Leffler
 and one-sided stable limit marginals, and exact-distribution Monte Carlo
 with reproducible substreams.
+
+Each module's ``__all__`` lists its public names; the package exports
+their union.
 """
 
 import importlib
 
-from .combinatorics import (
-    DEFAULT_NMAX,
-    EULER_GAMMA,
-    ZETA,
-    general_binomial,
-    signed_log_gamma,
-    stirling_first,
-    stirling_second,
-)
-from .spectral import (
-    DegenerateSpectrumError,
-    GeneratorKind,
-    SpectralDecomposition,
-    TriangularMatrix,
-    VerificationReport,
-    build_generator,
-    closed_form_decomposition,
-    generator_entry,
-    recursive_decomposition,
-    verify_decomposition,
-)
-from .analytics import (
-    HittingMethod,
-    NumericInstabilityError,
-    TimePoint,
-    absorption_cdf,
-    block_tail_via_duality,
-    edgeworth_c,
-    edgeworth_cdf,
-    fixation_marginal,
-    fixation_pgf,
-    fixation_transition,
-    gumbel_cumulant,
-    gumbel_limit_cdf,
-    hitting_asymptotic,
-    hitting_gf_coefficients,
-    hitting_probability,
-)
-# limits and simulate import numpy, most of a cold start: they load on the
-# first use of one of their names (PEP 562), so closed-form work never does.
-_NUMPY_MODULES = ("limits", "simulate")
+from . import analytics, combinatorics, spectral
 
-
-def __getattr__(name):
-    if name not in __all__ and name not in _NUMPY_MODULES:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    # importing a submodule binds it here; bind the name asked for as well
-    for sub in _NUMPY_MODULES:
-        module = importlib.import_module(f"{__name__}.{sub}")
-        if name in module.__all__:
-            globals()[name] = getattr(module, name)
-    return globals()[name]
-
-
-def __dir__():
-    return sorted({*globals(), *__all__, *_NUMPY_MODULES})
-
+# limits and simulate import numpy, most of a cold start: their names are
+# listed here, so that the package knows them without importing numpy, and
+# each module loads on the first use of one of its names (PEP 562), so
+# closed-form work never does.  Each list equals its module's __all__.
+_LAZY = {
+    "limits": [
+        "LogProcess",
+        "ml_moment",
+        "sample_neveu",
+        "sample_mittag_leffler",
+        "mittag_leffler_cdf",
+        "neveu_cdf",
+        "neveu_laplace_fd",
+        "log_cumulant",
+        "siegmund_duality_gap",
+        "check_pow_inequality",
+    ],
+    "simulate": [
+        "PathSample",
+        "EstimateWithError",
+        "replicate_rng",
+        "simulate_block",
+        "simulate_fixation",
+        "estimate_hitting",
+        "sample_block_marginal",
+        "sample_absorption_times",
+        "sample_fixation_marginal",
+        "scaled_marginal_sample",
+        "ks_distance",
+    ],
+}
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "DEFAULT_NMAX",
-    "EULER_GAMMA",
-    "ZETA",
-    "stirling_first",
-    "stirling_second",
-    "general_binomial",
-    "signed_log_gamma",
-    "GeneratorKind",
-    "TriangularMatrix",
-    "SpectralDecomposition",
-    "VerificationReport",
-    "DegenerateSpectrumError",
-    "generator_entry",
-    "build_generator",
-    "closed_form_decomposition",
-    "recursive_decomposition",
-    "verify_decomposition",
-    "TimePoint",
-    "HittingMethod",
-    "NumericInstabilityError",
-    "fixation_pgf",
-    "fixation_transition",
-    "fixation_marginal",
-    "block_tail_via_duality",
-    "hitting_probability",
-    "hitting_gf_coefficients",
-    "hitting_asymptotic",
-    "absorption_cdf",
-    "gumbel_limit_cdf",
-    "gumbel_cumulant",
-    "edgeworth_c",
-    "edgeworth_cdf",
-    "LogProcess",
-    "ml_moment",
-    "sample_neveu",
-    "sample_mittag_leffler",
-    "mittag_leffler_cdf",
-    "neveu_cdf",
-    "neveu_laplace_fd",
-    "log_cumulant",
-    "siegmund_duality_gap",
-    "check_pow_inequality",
-    "PathSample",
-    "EstimateWithError",
-    "replicate_rng",
-    "simulate_block",
-    "simulate_fixation",
-    "estimate_hitting",
-    "sample_block_marginal",
-    "sample_absorption_times",
-    "sample_fixation_marginal",
-    "scaled_marginal_sample",
-    "ks_distance",
+    *combinatorics.__all__,
+    *spectral.__all__,
+    *analytics.__all__,
+    *_LAZY["limits"],
+    *_LAZY["simulate"],
 ]
+
+globals().update(
+    {name: getattr(module, name) for module in (combinatorics, spectral, analytics) for name in module.__all__}
+)
+
+
+def __getattr__(name):
+    for sub, names in _LAZY.items():
+        if name == sub or name in names:
+            # importing the submodule binds it here; bind its names as well
+            module = importlib.import_module(f"{__name__}.{sub}")
+            globals().update({n: getattr(module, n) for n in names})
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *__all__, *_LAZY})

@@ -24,12 +24,12 @@ import operator
 import threading
 from collections import namedtuple
 from fractions import Fraction
+from math import factorial
 
 from .combinatorics import (
     DEFAULT_NMAX,
     EULER_GAMMA,
     ZETA,
-    factorial,
     general_binomial,
     stirling_first,
     stirling_second,
@@ -521,14 +521,15 @@ def edgeworth_cdf(n: int, i: int, x: float, K: int) -> float:
     d_k = sum_{m=1..min(k,i)} (-1)^(m-1) S(k,m) (i)_m F^m (1-F)^(i-m):
     at most 12 terms, each at most S(k,m) m! whatever i is.
 
-    Each term's rounding is bounded, in units of 2^-52 relative to the term,
-    by 1 for its own operations, plus the rounding of F, 1 + e^-x, times the
-    term's sensitivity to it, m + (i-m) F/(1-F), plus i - m for the rounding
-    of 1 - F.  d_0 has no 1 - F: its bound is d_0 for expm1 plus (1-F)^i
-    times the error of u = i log1p(-F), (1 + e^-x) i F/(1-F) from F and
-    3 |u| from log1p, the product and float(i).  Where the bound summed over
-    the terms exceeds 1e-9 (near the bulk x = -log log i from i of about
-    6e6 on at K = 1 and about 600 at K = 12, n = 100; never at K = 0), or
+    Every (1-F)^(i-m) is exp(u_m), u_m = (i-m) log1p(-F), which takes F
+    itself where 1 - F would round to 1.  Each term's rounding is bounded,
+    in units of 2^-52 relative to the term, by 1 for its own operations,
+    plus the rounding of F, 1 + e^-x, times the term's sensitivity to it,
+    m + (i-m) F/(1-F), plus 3 |u_m| from log1p, the product, float(i) and
+    i - m.  d_0 = -expm1(u_0) is bounded by d_0 for expm1 plus (1-F)^i
+    times the error of u_0.  Where the bound summed over the terms exceeds
+    1e-9 (near the bulk x = -log log i, at n = 100, from i of about 1.6e3
+    on at K = 12, 3e8 at K = 6 and 8e185 at K = 2; never at K <= 1), or
     where i exceeds the float range, it raises NumericInstabilityError.
     """
     if n < 3:
@@ -543,18 +544,17 @@ def edgeworth_cdf(n: int, i: int, x: float, K: int) -> float:
         return 1.0  # d_0 = 1 and every k >= 1 term carries e^(-kx)
     y = math.exp(-x)
     F = math.exp(-y)
-    q = 1.0 - F
     M = min(K, i)
     g = [1.0]  # (i)_m F^m, a factor (i - m) F at a time so that no (i)_m overflows alone
     for m in range(M):
         g.append(g[-1] * ((fi - m) * F))
-    P = [q ** (fi - m) for m in range(M + 1)]  # (1 - F)^(i - m)
+    L = _log_survival(1.0, F)  # log(1 - F)
+    U = [(fi - m) * L if m < i else 0.0 for m in range(M + 1)]  # log (1 - F)^(i - m)
+    P = [math.exp(u) for u in U]  # 0.0 at u = -inf
     r = y / math.log(n)
-    Fq = F / q if q else 0.0  # q = 0 leaves only m = i, where (i - m) Fq is 0
-    u = _log_survival(fi, F)
-    parts = [-math.expm1(u)]  # d_0, as gumbel_limit_cdf
-    e = math.exp(u)  # (1 - F)^i, 0.0 at u = -inf
-    bound = parts[0] + (e * ((1.0 + y) * (fi * Fq) - 3.0 * u) if e else 0.0)
+    Fq = F / (1.0 - F) if F < 1.0 else 0.0  # F = 1 leaves only m = i, where (i - m) Fq is 0
+    parts = [-math.expm1(U[0])]  # d_0, as gumbel_limit_cdf
+    bound = parts[0] + (P[0] * ((1.0 + y) * (fi * Fq) - 3.0 * U[0]) if P[0] else 0.0)
     for k in range(1, K + 1):
         ck = c[k] * r**k
         for m, s in enumerate(_STIRLING2[k][: i + 1]):
@@ -564,7 +564,7 @@ def edgeworth_cdf(n: int, i: int, x: float, K: int) -> float:
                 continue
             t = ck * s * g[m] * P[m]
             parts.append(t if m % 2 else -t)
-            bound += abs(t) * (1.0 + (1.0 + y) * (m + (i - m) * Fq) + i - m)
+            bound += abs(t) * (1.0 + (1.0 + y) * (m + (i - m) * Fq) - 3.0 * U[m])
     bound *= 2.0**-52
     if not bound <= 1e-9:
         raise NumericInstabilityError(

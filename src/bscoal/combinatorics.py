@@ -21,7 +21,6 @@ __all__ = [
     "stirling_second",
     "general_binomial",
     "signed_log_gamma",
-    "factorial",
 ]
 
 #: Largest row kept in the cached Stirling tables.
@@ -46,8 +45,6 @@ ZETA = {
     11: 1.0004941886041195,
     12: 1.0002460865533080,
 }
-
-factorial = math.factorial
 
 _table_lock = threading.Lock()
 # triangle[n][k] for 0 <= k <= n; row 0 is [1].
@@ -126,11 +123,16 @@ _PRODUCT_CUTOFF = 64
 def general_binomial(z: float, j: int) -> float:
     """Generalized binomial coefficient z (z-1) ... (z-j+1) / j!.
 
-    Total over real z and integer j >= 0.  Small j uses the direct product;
-    large j goes through log-gamma with sign tracking.
+    Defined for finite real z and integer j >= 0.  Small j uses the direct
+    product (a factor over its index at a time where the product alone
+    leaves the float range); large j goes through log-gamma with sign
+    tracking.  A non-finite z, or a value past the float range, raises
+    ValueError.
     """
     if j < 0:
         raise ValueError(f"lower index must be nonnegative, got {j}")
+    if not math.isfinite(z):
+        raise ValueError(f"general_binomial needs a finite z, got z={z}")
     if j == 0:
         return 1.0
     if z == math.floor(z) and 0 <= z < j:
@@ -139,17 +141,23 @@ def general_binomial(z: float, j: int) -> float:
         num = 1.0
         for m in range(j):
             num *= z - m
-        return num / math.factorial(j)
-    # prod_{m<j} (z - m) = Gamma(z + 1) / Gamma(z - j + 1)
-    s_num, l_num = signed_log_gamma(z + 1.0)
-    s_den, l_den = signed_log_gamma(z - j + 1.0)
-    if s_num == 0:
-        # Pole in the numerator with no cancelling pole below: the product
-        # contains an exact zero factor only when z is an integer in
-        # [0, j), handled above; a nonpositive integer z makes the ratio
-        # infinite, which cannot arise from finite falling factorials.
-        raise ValueError(f"general_binomial undefined at z={z}, j={j}")
-    if s_den == 0:
-        return 0.0
-    sign = s_num * s_den
-    return sign * math.exp(l_num - l_den - math.lgamma(j + 1.0))
+        if not math.isinf(num):
+            return num / math.factorial(j)
+        value = math.prod((z - m) / (m + 1) for m in range(j))
+    else:
+        # prod_{m<j} (z - m) = Gamma(z + 1) / Gamma(z - j + 1)
+        try:
+            s_num, l_num = signed_log_gamma(z + 1.0)
+            s_den, l_den = signed_log_gamma(z - j + 1.0)
+            if s_num == 0:
+                # z is a negative integer, a pole of Gamma(z + 1); by upper
+                # negation the product is (-1)^j Gamma(j - z) / Gamma(-z)
+                s_num, l_num, s_den, l_den = (-1) ** j, math.lgamma(j - z), 1, math.lgamma(-z)
+            elif s_den == 0:
+                return 0.0
+            value = s_num * s_den * math.exp(l_num - l_den - math.lgamma(j + 1.0))
+        except OverflowError:
+            value = math.inf
+    if math.isinf(value):
+        raise ValueError(f"general_binomial at z={z}, j={j} exceeds the float range")
+    return value

@@ -58,9 +58,11 @@ def ml_moment(tp: TimePoint, m: float) -> float:
 def _kanter_kernel(a: float, u):
     # k(u) = (1-a) log A(u) for Kanter's A(u) = sin(a pi u)^(a/(1-a)) sin((1-a) pi u) / sin(pi u)^(1/(1-a)),
     # increasing from a log a + (1-a) log(1-a) at u = 0 to +inf at u = 1.  For U uniform on (0, 1)
-    # and E standard exponential, exp((1-a) log E - k(U)) is Mittag-Leffler.
+    # and E standard exponential, exp((1-a) log E - k(U)) is Mittag-Leffler.  Where a is
+    # subnormal, sin(a pi u) can underflow to 0; clamped to the least subnormal 5e-324, a log of it
+    # is about -745 a, which tends to 0 with a as a log(a pi u) does, instead of a (-inf).
     return (
-        a * np.log(np.sin(a * np.pi * u))
+        a * np.log(np.maximum(np.sin(a * np.pi * u), 5e-324))
         + (1.0 - a) * np.log(np.sin((1.0 - a) * np.pi * u))
         - np.log(np.sin(np.pi * u))
     )

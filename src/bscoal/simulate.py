@@ -141,13 +141,19 @@ def simulate_block(n: int, horizon: float, rng: np.random.Generator) -> PathSamp
     """One block counting trajectory from n, run until absorption at 1 or
     until the next jump would land beyond the horizon (inf runs to absorption).
 
-    Work: about n / log n jumps to absorption, whatever the horizon; past
-    WORK_BUDGET it raises ValueError."""
-    if n < 1:
-        raise ValueError(f"initial state must be positive, got {n}")
+    Work: about n / log n jumps to absorption, and at most about
+    (n - 1) horizon before the horizon, since the chain leaves state m at
+    rate m - 1; past WORK_BUDGET the smaller raises ValueError.  n is at
+    most 2^62."""
+    if not 1 <= n <= 2**62:
+        raise ValueError(f"initial state must be positive and at most 2^62, got {n}")
     if not horizon >= 0:
         raise ValueError(f"horizon must be >= 0, got {horizon}")
-    _check_work(_climb_rounds(n), f"simulate_block from n={n}: n / log n jumps")
+    if n > 1:  # from n = 1 the path has no jump
+        _check_work(
+            min(_climb_rounds(n), (n - 1) * horizon),
+            f"simulate_block from n={n} to horizon {horizon}: the lesser of (n - 1) horizon and n / log n jumps",
+        )
     times: list[float] = []
     states = [n]
     t = 0.0

@@ -29,9 +29,10 @@ import math
 import operator
 from collections import namedtuple
 from fractions import Fraction
+from math import factorial
 from typing import Sequence
 
-from .combinatorics import DEFAULT_NMAX, factorial, stirling_first, stirling_second
+from .combinatorics import DEFAULT_NMAX, stirling_first, stirling_second
 
 __all__ = [
     "GeneratorKind",

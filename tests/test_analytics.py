@@ -550,14 +550,25 @@ class TestEdgeworth:
             assert edgeworth_cdf(1000, 20, 3.0, K) == pytest.approx(1.0, abs=1e-3)
         assert edgeworth_cdf(1000, 20, 3.0, 0) == gumbel_limit_cdf(20, 3.0)
 
-    def test_rounding_of_one_minus_f_raises(self):
-        # where F < 2^-53, 1 - F rounds to 1 and (1 - F)^(i - m) to 1 whatever
-        # i F is: at i = 2^62, x = -3.76, i F is about 1.  d_0 takes F through
-        # log1p instead, so order 0 answers, as gumbel_limit_cdf does
-        for K in (1, 6, 12):
+    def test_rounding_of_one_minus_f_answers_or_raises(self):
+        # where F < 2^-53, 1 - F rounds to 1 whatever i F is: at i = 2^62,
+        # x = -3.76, F is 2.2e-19 and i F about 1.  Every (1 - F)^(i - m) takes
+        # F through log1p, so orders 0 and 1 answer; at orders 6 and 12 the
+        # terms' rounding still passes 1e-9
+        mpmath = pytest.importorskip("mpmath")
+        n, i, x = 1000, 2**62, -3.76
+        with mpmath.workdps(60):
+            y = mpmath.exp(-mpmath.mpf(x))
+            F = mpmath.exp(-y)
+            d0 = -mpmath.expm1(i * mpmath.log1p(-F))
+            d1 = i * F * mpmath.exp((i - 1) * mpmath.log1p(-F))
+            want = d0 - mpmath.euler * y / mpmath.log(n) * d1  # c_1 = -gamma
+        got = edgeworth_cdf(n, i, x, 1)
+        assert abs(got - want) <= 1e-14, (got, want)
+        for K in (6, 12):
             with pytest.raises(NumericInstabilityError, match="rounding bound"):
-                edgeworth_cdf(1000, 2**62, -3.76, K)
-        assert edgeworth_cdf(1000, 2**62, -3.76, 0) == gumbel_limit_cdf(2**62, -3.76) > 0.6
+                edgeworth_cdf(n, i, x, K)
+        assert edgeworth_cdf(n, i, x, 0) == gumbel_limit_cdf(i, x) > 0.6
 
     def test_nan_x_raises(self):
         with pytest.raises(ValueError, match="x = nan"):

@@ -353,9 +353,9 @@ class TestExitCodes:
             ["limits", "--method", "log-cumulant-neveu", "--t", "400", "--K", "2"],
             ["absorption", "--n", "30", "--i", "29", "--t", "3"],
             ["transition", "--i", "60", "--j", "65", "--t", "1", "--method", "binomial"],
-            # 1 - F rounds to 1 at F = 2e-19, where i F is about 1: the k >= 1
-            # terms carry (1 - F)^(i - m)
-            ["edgeworth", "--n", "1000", "--i", str(2**62), "--x", "-3.76", "--K", "1"],
+            # 1 - F rounds to 1 at F = 2e-19, where i F is about 1: order 1
+            # answers there, order 12's terms round past 1e-9
+            ["edgeworth", "--n", "1000", "--i", str(2**62), "--x", "-3.76", "--K", "12"],
         ],
     )
     def test_past_float_range_or_cancelling_exit_one(self, capsys, argv):

@@ -113,6 +113,16 @@ def test_general_binomial_matches_comb():
             assert approx == pytest.approx(exact, rel=1e-12)
 
 
+def test_general_binomial_where_gamma_or_the_product_leave_range():
+    # a negative integer z is a pole of Gamma(z + 1) (this raised ValueError),
+    # and a product past the float range can hold a quotient inside it (this
+    # returned inf)
+    for z, j in ((-3, 70), (-3, 71), (-100, 65), (-1, 101)):
+        want = (-1) ** j * math.comb(j - z - 1, j)
+        assert general_binomial(float(z), j) == pytest.approx(want, rel=1e-12)
+    assert general_binomial(1e6, 60) == pytest.approx(math.comb(10**6, 60), rel=1e-14)
+
+
 def test_general_binomial_integer_zero_window():
     assert general_binomial(3.0, 5) == 0.0
     assert general_binomial(0.0, 1) == 0.0

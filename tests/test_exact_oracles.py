@@ -26,6 +26,7 @@ edges.  A second guard test makes those helpers raise under the kernels.
 import math
 import operator
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
@@ -41,7 +42,7 @@ from bscoal.analytics import (
     hitting_gf_coefficients,
     hitting_probability,
 )
-from bscoal.combinatorics import factorial, signed_log_gamma, stirling_first, stirling_second
+from bscoal.combinatorics import signed_log_gamma, stirling_first, stirling_second
 from bscoal.spectral import (
     GeneratorKind,
     SpectralDecomposition,

@@ -110,7 +110,17 @@ class TestPackageSurface:
 
         assert bscoal.sample_neveu is limits.sample_neveu
         assert bscoal.PathSample is simulate.PathSample
-        assert {*limits.__all__, *simulate.__all__} <= set(bscoal.__all__)
+
+    def test_all_is_the_union_of_the_module_lists(self):
+        from bscoal import analytics, combinatorics, limits, simulate, spectral
+
+        modules = (combinatorics, spectral, analytics, limits, simulate)
+        for module in modules:
+            assert [n for n in module.__all__ if not hasattr(module, n)] == [], module.__name__
+            assert len(set(module.__all__)) == len(module.__all__), module.__name__
+        assert set(bscoal.__all__) == {n for module in modules for n in module.__all__}
+        assert bscoal._LAZY == {"limits": limits.__all__, "simulate": simulate.__all__}
+        assert len(set(bscoal.__all__)) == len(bscoal.__all__)
 
     def test_dir_lists_every_public_name_before_use(self):
         names = _python("import bscoal; print(*dir(bscoal))").split()

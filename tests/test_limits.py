@@ -192,6 +192,24 @@ class TestExactCdfs:
                 assert np.all(cdf(tp, np.array([-np.inf, -3.0, 0.0])) == 0.0)
                 assert cdf(tp, np.inf) == pytest.approx(1.0, abs=1e-15)
 
+    @pytest.mark.parametrize("t", [700.0, 741.5, 745.0])
+    def test_subnormal_alpha_keeps_the_alpha_to_zero_laws(self, t):
+        # alpha = e^-t is subnormal from t of about 708 on, and sin(alpha pi u)
+        # underflowed to 0 on part of (0, 1): draws came out inf, and from about
+        # t = 741 the CDFs were off by up to 0.17 or NaN.  As alpha -> 0, X tends
+        # to Exp(1) and so does Y^-alpha
+        tp = TimePoint.from_time(t)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            x = sample_mittag_leffler(tp, replicate_rng(2), size=2 * REPS)
+        assert np.all(np.isfinite(x)) and np.all(x > 0)
+        pts = np.array([0.0, 1e-300, 1e-5, 0.5, 1.0, 2.0, 40.0, math.inf])
+        assert np.max(np.abs(mittag_leffler_cdf(tp, pts) + np.expm1(-pts))) < 1e-13
+        y = np.concatenate([[-1.0], pts])
+        with np.errstate(divide="ignore"):
+            want = np.where(y > 0, np.exp(-(np.abs(y) ** -tp.alpha)), 0.0)
+        assert np.max(np.abs(neveu_cdf(tp, y) - want)) < 1e-13
+
     @pytest.mark.parametrize("t", [0.0, 1.0])
     def test_nan_raises_and_one_type_per_shape(self, t):
         tp = TimePoint.from_time(t)

@@ -767,3 +767,16 @@ def test_work_budget_admits_the_documented_sizes():
     assert (1 - math.exp(-3.0)) * (10**12) ** math.exp(-3.0) < simulate.WORK_BUDGET
     with pytest.raises(ValueError, match="WORK_BUDGET"):
         sample_absorption_times(2 * 10**8, 1, 1, replicate_rng(46))
+
+
+def test_short_block_path_from_a_large_n_is_charged_its_horizon():
+    # the chain leaves n at rate n - 1, so about 0.2 jumps come before t = 1e-9,
+    # far fewer than the n / log n it would take to absorb
+    path = simulate_block(2 * 10**8, 1e-9, replicate_rng(47))
+    assert path.n == path.states[0] == 2 * 10**8
+    assert len(path.states) == len(path.jump_times) + 1 and np.all(path.jump_times <= 1e-9)
+    # to absorption the charge is still n / log n, and still raises before drawing
+    rng = replicate_rng(47)
+    with pytest.raises(ValueError, match="n / log n jumps come to about 1.05e"):
+        simulate_block(2 * 10**8, math.inf, rng)
+    assert rng.random() == replicate_rng(47).random()

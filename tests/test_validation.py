@@ -1,5 +1,6 @@
 """Every argument guard that raises ValueError, each reached by one call."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -58,9 +59,18 @@ GUARDS = {
         "at least one replicate",
     ),
     "simulate_block n": (lambda: simulate_block(0, 1.0, replicate_rng(0)), "initial state must be positive"),
+    "simulate_block n > 2^62": (lambda: simulate_block(2**62 + 1, 0.0, replicate_rng(0)), r"at most 2\^62"),
     "simulate_fixation n": (lambda: simulate_fixation(0, 10, replicate_rng(0)), "initial state must be positive"),
     "estimate_hitting i > j": (lambda: estimate_hitting(3, 2, 10, replicate_rng(0)), "need 1 <= i <= j"),
     "general_binomial j": (lambda: general_binomial(1.0, -1), "must be nonnegative"),
+    # these raised OverflowError, or ValueError only by accident, or returned inf
+    "general_binomial z = inf": (lambda: general_binomial(math.inf, 3), "finite z, got z=inf"),
+    "general_binomial z = -inf": (lambda: general_binomial(-math.inf, 70), "finite z, got z=-inf"),
+    "general_binomial z = nan": (lambda: general_binomial(math.nan, 3), "finite z, got z=nan"),
+    "general_binomial product past range": (lambda: general_binomial(1e308, 3), "exceeds the float range"),
+    "general_binomial negative past range": (lambda: general_binomial(-1e308, 3), "exceeds the float range"),
+    "general_binomial log-gamma past range": (lambda: general_binomial(1e308, 70), "exceeds the float range"),
+    "general_binomial exp past range": (lambda: general_binomial(1e5, 200), "exceeds the float range"),
     "TriangularMatrix orientation": (lambda: TriangularMatrix(1, "diagonal", ONE), "orientation must be"),
     "TriangularMatrix ragged": (lambda: TriangularMatrix(2, "upper", ((1, 0), (1,))), "n x n array"),
     "TriangularMatrix.entry": (lambda: TriangularMatrix(1, "upper", ONE).entry(1, 2), r"outside 1\.\.1"),
@@ -79,3 +89,4 @@ GUARDS = {
 def test_guard_raises_value_error(call, message):
     with pytest.raises(ValueError, match=message):
         call()
+
