@@ -100,7 +100,10 @@ def fixation_pgf(i: int, tp: TimePoint, z: float) -> float:
         raise ValueError(f"initial state must be positive, got {i}")
     if not (-1.0 < z < 1.0):
         raise ValueError(f"pgf argument must satisfy |z| < 1, got {z}")
-    return (1.0 - (1.0 - z) ** tp.alpha) ** i
+    try:
+        return (1.0 - (1.0 - z) ** tp.alpha) ** i
+    except OverflowError:
+        raise ValueError(f"initial state i of {i.bit_length()} bits exceeds the float range") from None
 
 
 def _stirling_pairs(i: int, j: int, route: str, top: str) -> list[int]:
@@ -178,7 +181,10 @@ def fixation_marginal(tp: TimePoint, j: int) -> float:
     a = tp.alpha
     if a == 1.0:
         return 1.0 if j == 1 else 0.0
-    return a * math.exp(math.lgamma(j - a) - math.lgamma(1.0 - a) - math.lgamma(j + 1.0))
+    try:
+        return a * math.exp(math.lgamma(j - a) - math.lgamma(1.0 - a) - math.lgamma(j + 1.0))
+    except OverflowError:
+        raise ValueError(f"state j of {j.bit_length()} bits exceeds the float range") from None
 
 
 def _block_tail(n: int, i: int, alpha: float) -> float:
@@ -193,7 +199,10 @@ def _block_tail(n: int, i: int, alpha: float) -> float:
     if i == n:
         return 1.0
     lgamma, exp, floor = math.lgamma, math.exp, math.floor
-    lg_n = lgamma(n)
+    try:
+        lg_n = lgamma(n)
+    except OverflowError:
+        raise ValueError(f"block tail: n of {n.bit_length()} bits exceeds the float range") from None
     terms = []
     c = -1  # (-1)^(j-1) C(i, j), here for j = 0
     try:
@@ -365,7 +374,12 @@ def hitting_probability(i: int, j: int, method: HittingMethod = HittingMethod.CO
     if method is HittingMethod.CONVOLUTION:
         return _RENEWAL.upto(d)[d]
     if method is HittingMethod.INTEGRAL:
-        return _hitting_integral(d)
+        try:
+            return _hitting_integral(d)
+        except OverflowError:
+            raise ValueError(
+                f"integral route: j - i of {d.bit_length()} bits exceeds the float range"
+            ) from None
     top = "j"
     if method is HittingMethod.STIRLING_SHIFT:
         i, j, top = 1, d + 1, "j - i + 1"  # the value depends on d only; every S(k, 1) is 1

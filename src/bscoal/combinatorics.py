@@ -101,6 +101,20 @@ def stirling_second(n: int, k: int) -> int:
     return _second_rows[n][k]
 
 
+def _stirling_rows(n: int) -> tuple[list[list[int]], list[list[int]]]:
+    """Both tables grown to row n, after one bound check: (s, S) with s[m][k] = s(m, k).
+
+    Row m holds k = 0..m only; the lists are the cache itself, so callers
+    read them and never write.
+    """
+    _check_range(n, 0)
+    if n >= len(_first_rows):
+        _grow(_first_rows, n, _first_weight)
+    if n >= len(_second_rows):
+        _grow(_second_rows, n, _second_weight)
+    return _first_rows, _second_rows
+
+
 def signed_log_gamma(x: float) -> tuple[int, float]:
     """(sign, log|Gamma(x)|) for any real x that is not a pole.
 
@@ -119,6 +133,12 @@ def signed_log_gamma(x: float) -> tuple[int, float]:
 # above it we switch to log-gamma magnitudes to avoid overflow.
 _PRODUCT_CUTOFF = 64
 
+# The log-gamma route rounds log Gamma(z + 1) and log Gamma(z - j + 1) to
+# about _ULP times their magnitudes before subtracting them; that error in
+# the exponent is the value's relative error, and past this bound it raises.
+_ULP = 2.0**-52
+_LOG_GAMMA_ROUNDING = 1e-9
+
 
 def general_binomial(z: float, j: int) -> float:
     """Generalized binomial coefficient z (z-1) ... (z-j+1) / j!.
@@ -126,8 +146,11 @@ def general_binomial(z: float, j: int) -> float:
     Defined for finite real z and integer j >= 0.  Small j uses the direct
     product (a factor over its index at a time where the product alone
     leaves the float range); large j goes through log-gamma with sign
-    tracking.  A non-finite z, or a value past the float range, raises
-    ValueError.
+    tracking.  A non-finite z, a value past the float range, or a log-gamma
+    difference whose rounding (about 2^-52 (|log Gamma(z+1)| +
+    |log Gamma(z-j+1)|)) passes 1e-9 relative, raises ValueError: the
+    last from |z| of about 2e5 on at j = 65, and from j of about 4e5 on
+    at z = 0.5, while (1e4, 100) answers to about 4e-11.
     """
     if j < 0:
         raise ValueError(f"lower index must be nonnegative, got {j}")
@@ -155,6 +178,10 @@ def general_binomial(z: float, j: int) -> float:
                 s_num, l_num, s_den, l_den = (-1) ** j, math.lgamma(j - z), 1, math.lgamma(-z)
             elif s_den == 0:
                 return 0.0
+            if _ULP * (abs(l_num) + abs(l_den)) > _LOG_GAMMA_ROUNDING:
+                raise ValueError(
+                    f"general_binomial at z={z}, j={j}: log-gamma difference loses its digits"
+                )
             value = s_num * s_den * math.exp(l_num - l_den - math.lgamma(j + 1.0))
         except OverflowError:
             value = math.inf

@@ -4,13 +4,18 @@ All matrices in this module are 1-indexed n x n truncations of infinite
 triangular matrices, stored as exact rationals.  Triangularity makes every
 product of truncations equal the truncation of the product, so the
 identities R L = I and R diag(D) L = generator hold exactly at any
-truncation size.  They are checked in integer-scaled exact arithmetic:
-each row of R, each column of L and the vector D are multiplied by the
-lcm of their denominators, and the products run over the triangle only.
-R and L come from closed forms or from one eigenvector recursion that
+truncation size.  They are checked in integer-scaled exact arithmetic,
+first by the eigen-equations R D = Q R and L Q = D L (each column of R
+and each row of L times the lcm of its denominators, against the
+generator's small rates), which prove both identities when R and L are
+unit triangular in the generator's orientation and D is its diagonal;
+any other decomposition goes to the two triangle products.  R and L
+come from closed forms, built row by row from one factorial list and
+one read of the Stirling rows, or from one eigenvector recursion that
 serves both orientations (L from the recursion on the transpose).  The
 recursion also runs on integers: it holds each column as integers over one
-denominator and builds one ``Fraction`` per entry.
+denominator and builds one ``Fraction`` per entry.  Generators and closed
+forms take 1 <= n <= DEFAULT_NMAX.
 
 Covered generators:
 
@@ -29,10 +34,10 @@ import math
 import operator
 from collections import namedtuple
 from fractions import Fraction
-from math import factorial
+from itertools import accumulate
 from typing import Sequence
 
-from .combinatorics import DEFAULT_NMAX, stirling_first, stirling_second
+from .combinatorics import DEFAULT_NMAX, _stirling_rows
 
 __all__ = [
     "GeneratorKind",
@@ -150,14 +155,24 @@ def _triangular(n: int, orientation: str, entry) -> TriangularMatrix:
     return TriangularMatrix(n, orientation, rows)
 
 
+def _check_size(kind: GeneratorKind, n: int, what: str) -> None:
+    """ValueError unless 1 <= n <= DEFAULT_NMAX, naming ``what`` is built."""
+    if n < 1:
+        raise ValueError(f"truncation size must be positive, got {n}")
+    if n > DEFAULT_NMAX:
+        raise ValueError(
+            f"{kind.value} {what} at n = {n} is past the size bound DEFAULT_NMAX = {DEFAULT_NMAX}"
+        )
+
+
 def build_generator(kind: GeneratorKind, n: int) -> TriangularMatrix:
     """n x n truncation; diagonals keep their untruncated values.
 
     For the fixation kinds the truncation loses the upward mass beyond n,
     so row sums of the truncation are negative: that is intentional.
+    Raises ValueError for n > DEFAULT_NMAX, as the closed forms do.
     """
-    if n < 1:
-        raise ValueError(f"truncation size must be positive, got {n}")
+    _check_size(kind, n, "generator")
     return _triangular(n, kind.orientation, lambda i, j: generator_entry(kind, i, j))
 
 
@@ -166,33 +181,54 @@ def eigenvalues(kind: GeneratorKind, n: int) -> tuple[Fraction, ...]:
     return tuple(generator_entry(kind, i, i) for i in range(1, n + 1))
 
 
-def _sign(i: int, j: int) -> int:
-    return -1 if (i + j) % 2 else 1
+def _closed_form_rows(kind: GeneratorKind, n: int) -> tuple[list, list]:
+    """Rows of R and of L on the triangle, from one factorial list and one Stirling read.
+
+    Row i (1-based) runs over j = i..n for the fixation kinds and over
+    j = 1..i for the block kind; both factors are unit diagonal.
+    """
+    f = list(accumulate(range(1, 2 * n + 2), operator.mul, initial=1))  # f[m] = m!
+    rows = range(1, n + 1)
+    if kind is GeneratorKind.KINGMAN_FIXATION:
+        R = [
+            [
+                Fraction(
+                    (-1) ** (j - i) * f[j] * f[j - 1] * f[i + j],
+                    f[j - i] * f[i] * f[i - 1] * f[2 * j],
+                )
+                for j in range(i, n + 1)
+            ]
+            for i in rows
+        ]
+        L = [
+            [
+                Fraction(
+                    f[j] * f[j - 1] * f[2 * i + 1],
+                    f[i] * f[i - 1] * f[j - i] * f[i + j + 1],
+                )
+                for j in range(i, n + 1)
+            ]
+            for i in rows
+        ]
+        return R, L
+    s, S = _stirling_rows(n)  # s[m][k] = s(m, k), S[m][k] = S(m, k)
+    if kind is GeneratorKind.BS_FIXATION:
+        R = [[Fraction((-1) ** (j - i) * f[i] * S[j][i], f[j]) for j in range(i, n + 1)] for i in rows]
+        L = [[Fraction((-1) ** (j - i) * f[i] * s[j][i], f[j]) for j in range(i, n + 1)] for i in rows]
+        return R, L
+    R = [[Fraction(f[j - 1] * abs(s[i][j]), f[i - 1]) for j in range(1, i + 1)] for i in rows]
+    L = [[Fraction((-1) ** (i - j) * f[j - 1] * S[i][j], f[i - 1]) for j in range(1, i + 1)] for i in rows]
+    return R, L
 
 
-# (R entry, L entry) on the triangle of each kind; both are unit diagonal.
-_CLOSED_FORMS = {
-    GeneratorKind.BS_FIXATION: (
-        lambda i, j: Fraction(_sign(i, j) * factorial(i) * stirling_second(j, i), factorial(j)),
-        lambda i, j: Fraction(_sign(i, j) * factorial(i) * stirling_first(j, i), factorial(j)),
-    ),
-    GeneratorKind.BS_BLOCK: (
-        lambda i, j: Fraction(factorial(j - 1) * abs(stirling_first(i, j)), factorial(i - 1)),
-        lambda i, j: Fraction(
-            _sign(i, j) * factorial(j - 1) * stirling_second(i, j), factorial(i - 1)
-        ),
-    ),
-    GeneratorKind.KINGMAN_FIXATION: (
-        lambda i, j: Fraction(
-            _sign(i, j) * factorial(j) * factorial(j - 1) * factorial(i + j),
-            factorial(j - i) * factorial(i) * factorial(i - 1) * factorial(2 * j),
-        ),
-        lambda i, j: Fraction(
-            factorial(j) * factorial(j - 1) * factorial(2 * i + 1),
-            factorial(i) * factorial(i - 1) * factorial(j - i) * factorial(i + j + 1),
-        ),
-    ),
-}
+def _padded(n: int, orientation: str, rows: list) -> TriangularMatrix:
+    """The triangle's rows (row i holding its on-triangle entries) as an n x n matrix."""
+    zero = Fraction(0)
+    if orientation == "upper":
+        full = tuple((zero,) * i + tuple(row) for i, row in enumerate(rows))
+    else:
+        full = tuple(tuple(row) + (zero,) * (n - 1 - i) for i, row in enumerate(rows))
+    return TriangularMatrix(n, orientation, full)
 
 
 def closed_form_decomposition(kind: GeneratorKind, n: int) -> SpectralDecomposition:
@@ -200,21 +236,30 @@ def closed_form_decomposition(kind: GeneratorKind, n: int) -> SpectralDecomposit
 
     Eigenvalues are read off the generator diagonal: -i for the
     Bolthausen-Sznitman fixation line, 1 - i for its block counting
-    process, -i (i+1) / 2 for the Kingman fixation line.  The two
-    Bolthausen-Sznitman kinds read Stirling numbers up to row n, so they
-    raise ValueError for n > DEFAULT_NMAX before building anything.
+    process, -i (i+1) / 2 for the Kingman fixation line.  With
+    (-1)^(i+j) written e_ij, the entries on the triangle are
+
+    * Bolthausen-Sznitman fixation line: R_ij = e_ij i! S(j, i) / j! and
+      L_ij = e_ij i! s(j, i) / j!;
+    * its block counting process: R_ij = (j-1)! |s(i, j)| / (i-1)! and
+      L_ij = e_ij (j-1)! S(i, j) / (i-1)!;
+    * Kingman fixation line:
+      R_ij = e_ij j! (j-1)! (i+j)! / ((j-i)! i! (i-1)! (2j)!) and
+      L_ij = j! (j-1)! (2i+1)! / (i! (i-1)! (j-i)! (i+j+1)!).
+
+    Each row is built from one list of factorials up to (2n+1)! and one
+    read of the Stirling rows.  Every kind raises ValueError for
+    n > DEFAULT_NMAX before building anything.
     """
-    if n < 1:
-        raise ValueError(f"truncation size must be positive, got {n}")
-    if kind is not GeneratorKind.KINGMAN_FIXATION and n > DEFAULT_NMAX:
-        raise ValueError(
-            f"closed-form {kind.value} decomposition needs Stirling numbers up to n = {n}, "
-            f"past the table bound DEFAULT_NMAX = {DEFAULT_NMAX}"
-        )
-    r_entry, l_entry = _CLOSED_FORMS[kind]
-    R = _triangular(n, kind.orientation, r_entry)
-    L = _triangular(n, kind.orientation, l_entry)
-    return SpectralDecomposition(kind, n, R, eigenvalues(kind, n), L)
+    _check_size(kind, n, "closed-form decomposition")
+    R, L = _closed_form_rows(kind, n)
+    return SpectralDecomposition(
+        kind,
+        n,
+        _padded(n, kind.orientation, R),
+        eigenvalues(kind, n),
+        _padded(n, kind.orientation, L),
+    )
 
 
 def _right_eigenvectors(q: TriangularMatrix, d: Sequence[Fraction]) -> TriangularMatrix:
@@ -287,8 +332,58 @@ def _integer_scaled(vectors) -> tuple[list[list[int]], list[int]]:
     return ints, scales
 
 
-def verify_decomposition(dec: SpectralDecomposition) -> VerificationReport:
-    """Exact booleans: R L = I and R diag(D) L = generator truncation.
+def _eigen_equations_hold(q: TriangularMatrix, d: Sequence[Fraction], vectors) -> bool:
+    """Whether q v_j = d_j v_j for each v_j = vectors[j], d being the diagonal of q.
+
+    Each v_j lies on column j's side of q's triangle, as a column of R
+    does, so row i of the equation reads sum_k q_ik v_jk = (d_j - d_i) v_ji
+    with k running from next to i up to j.  In the integers of
+    ``_right_eigenvectors`` (row i of q is G_i / c_i, d is D / delta), and
+    with v_j times the lcm of its denominators (the equation is
+    homogeneous) as N, that is delta sum_k G_ik N_k = c_i (D_j - D_i) N_i:
+    small rates times one big integer each.  Rates past the last nonzero
+    one of a row are skipped, so a bidiagonal q costs O(n^2) terms.
+    """
+    n = q.n
+    G, c = _integer_scaled(q.rows)
+    (D,), (delta,) = _integer_scaled([d])
+    upper = q.orientation == "upper"
+    # reach[i]: distance from the diagonal to the farthest nonzero rate of row i
+    reach = [
+        abs(next((k for k in (range(n - 1, i, -1) if upper else range(i)) if row[k]), i) - i)
+        for i, row in enumerate(G)
+    ]
+    V, _ = _integer_scaled(vectors)
+    for j, N in enumerate(V):
+        for i in range(j) if upper else range(j + 1, n):
+            lo, hi = (i + 1, min(j, i + reach[i]) + 1) if upper else (max(j, i - reach[i]), i)
+            if delta * sum(map(operator.mul, G[i][lo:hi], N[lo:hi])) != c[i] * (D[j] - D[i]) * N[i]:
+                return False
+    return True
+
+
+def _certified(dec: SpectralDecomposition, gen: TriangularMatrix) -> bool:
+    """True only if R L = I and R diag(D) L = gen, by the eigen-equations.
+
+    It applies when R and L are unit triangular in the generator's
+    orientation and D is the generator's diagonal (distinct for every
+    kind), and then checks R D = Q R and L Q = D L.  These make L R
+    commute with diag(D), so L R is diagonal; being unit triangular, it is
+    I.  Hence R L = I and R D L = Q R L = Q.  False means "not shown",
+    not "fails".
+    """
+    R, L = dec.R.rows, dec.L.rows
+    if not dec.R.orientation == dec.L.orientation == dec.kind.orientation:
+        return False
+    if any(dec.D[i] != gen.rows[i][i] or R[i][i] != 1 or L[i][i] != 1 for i in range(dec.n)):
+        return False
+    return _eigen_equations_hold(gen, dec.D, list(zip(*R))) and _eigen_equations_hold(
+        gen.transpose(), dec.D, L
+    )
+
+
+def _products_hold(dec: SpectralDecomposition, gen: TriangularMatrix) -> tuple[bool, bool]:
+    """(R L = I, R diag(D) L = gen), each by its triangle product.
 
     With row i of R scaled by r_i, column j of L by l_j and D by delta
     (each the lcm of its denominators), entry (i, j) of R L times r_i l_j
@@ -298,8 +393,6 @@ def verify_decomposition(dec: SpectralDecomposition) -> VerificationReport:
     orientation) enter the sums.
     """
     n = dec.n
-    if not (dec.R.n == dec.L.n == len(dec.D) == n):
-        raise ValueError("size mismatch")
     R, r = _integer_scaled(dec.R.rows)
     L, l = _integer_scaled(list(zip(*dec.L.rows)))  # columns of L
     (D,), (delta,) = _integer_scaled([dec.D])
@@ -313,16 +406,35 @@ def verify_decomposition(dec: SpectralDecomposition) -> VerificationReport:
         return slice(lo, hi + 1)
 
     cells = [(i, j, terms(i, j)) for i in range(n) for j in range(n)]
-    gen = build_generator(dec.kind, n).rows
+    q = gen.rows
     rl_ok = all(
         sum(map(operator.mul, R[i][k], L[j][k])) == (r[i] * l[j] if i == j else 0)
         for i, j, k in cells
     )
     rdl_ok = all(
-        sum(map(operator.mul, RD[i][k], L[j][k])) * gen[i][j].denominator
-        == r[i] * delta * l[j] * gen[i][j].numerator
+        sum(map(operator.mul, RD[i][k], L[j][k])) * q[i][j].denominator
+        == r[i] * delta * l[j] * q[i][j].numerator
         for i, j, k in cells
     )
+    return rl_ok, rdl_ok
+
+
+def verify_decomposition(dec: SpectralDecomposition) -> VerificationReport:
+    """Exact booleans: R L = I and R diag(D) L = generator truncation.
+
+    First the eigen-equations R D = Q R and L Q = D L are checked over
+    integer-scaled columns of R and rows of L against the generator's
+    small rates (``_certified``); when R and L are unit triangular in the
+    kind's orientation and D is the generator diagonal, they prove both
+    identities.  Anything else (another scaling of the eigenvectors, a
+    wrong D, a factor that fails its equation) goes to the two triangle
+    products in integer-scaled arithmetic, which say which identity fails.
+    """
+    n = dec.n
+    if not (dec.R.n == dec.L.n == len(dec.D) == n):
+        raise ValueError("size mismatch")
+    gen = build_generator(dec.kind, n)
+    rl_ok, rdl_ok = (True, True) if _certified(dec, gen) else _products_hold(dec, gen)
     return VerificationReport(
         kind=dec.kind,
         n=dec.n,

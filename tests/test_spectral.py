@@ -1,10 +1,11 @@
 """Triangular spectral decompositions: closed forms, recursions, exact products."""
 
+import math
 from fractions import Fraction
 
 import pytest
 
-from bscoal import spectral
+from bscoal import combinatorics, spectral
 from bscoal.spectral import (
     DegenerateSpectrumError,
     GeneratorKind,
@@ -113,17 +114,18 @@ def test_transpose():
     assert gen.transpose().orientation == "lower"
 
 
-@pytest.mark.parametrize("kind", [GeneratorKind.BS_FIXATION, GeneratorKind.BS_BLOCK])
+@pytest.mark.parametrize("kind", KINDS)
 def test_closed_form_past_stirling_bound_rejected_up_front(kind, monkeypatch):
-    # the check comes before any table work: no Stirling number is read
-    def unreachable(n, k):
+    # the check comes before any table work: no Stirling row is read
+    def unreachable(n):
         raise AssertionError("Stirling table read before the bound check")
 
-    monkeypatch.setattr(spectral, "stirling_first", unreachable)
-    monkeypatch.setattr(spectral, "stirling_second", unreachable)
+    monkeypatch.setattr(spectral, "_stirling_rows", unreachable)
     n = spectral.DEFAULT_NMAX + 44
     with pytest.raises(ValueError, match=rf"n = {n}\b.*DEFAULT_NMAX = {spectral.DEFAULT_NMAX}"):
         closed_form_decomposition(kind, n)
+    with pytest.raises(ValueError, match=rf"n = {n}\b.*DEFAULT_NMAX = {spectral.DEFAULT_NMAX}"):
+        build_generator(kind, n)
     # the bound itself is allowed: with a bound of 5, n = 5 builds and 6 does not
     monkeypatch.undo()
     monkeypatch.setattr(spectral, "DEFAULT_NMAX", 5)
@@ -168,3 +170,140 @@ def test_negative_control_tiny_perturbation_fails(kind, factor):
     else:
         assert not report.rl_is_identity
     assert not report.ok
+
+
+# ---------------------------------------------------------------------------
+# the eigen-equation certificate behind verify_decomposition
+# ---------------------------------------------------------------------------
+
+def _both_checks(dec):
+    gen = build_generator(dec.kind, dec.n)
+    return spectral._certified(dec, gen), spectral._products_hold(dec, gen)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("n", [1, 2, 10, 30])
+def test_certificate_agrees_with_products(kind, n):
+    gen = build_generator(kind, n)
+    for dec in (
+        closed_form_decomposition(kind, n),
+        recursive_decomposition(gen, eigenvalues(kind, n), kind),
+    ):
+        assert _both_checks(dec) == (True, (True, True))
+    if n < 2:
+        return
+    # one entry of R or of L off by 10^-30, inside the triangle: both checks see it
+    i, j = (0, n - 1) if kind.orientation == "upper" else (n - 1, 0)
+    eps = Fraction(1, 10**30)
+    for bad in (
+        dec._replace(R=_perturbed(dec.R, i, j, eps)),
+        dec._replace(L=_perturbed(dec.L, i, j, eps)),
+    ):
+        certified, (rl_ok, rdl_ok) = _both_checks(bad)
+        assert not certified
+        assert not rl_ok
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_certificate_sees_every_entry(kind):
+    # a perturbation anywhere strictly inside the triangle of R or of L breaks an eigen-equation
+    n = 6
+    dec = closed_form_decomposition(kind, n)
+    upper = kind.orientation == "upper"
+    cells = [(i, j) for i in range(n) for j in range(n) if (i < j if upper else i > j)]
+    for i, j in cells:
+        for factor in ("R", "L"):
+            bad = dec._replace(**{factor: _perturbed(getattr(dec, factor), i, j, Fraction(1, 7))})
+            assert not spectral._certified(bad, build_generator(kind, n)), (factor, i, j)
+            assert not verify_decomposition(bad).ok, (factor, i, j)
+
+
+def _columns_scaled(m: TriangularMatrix, c) -> TriangularMatrix:
+    """m diag(c)."""
+    return m._replace(rows=tuple(tuple(v * ck for v, ck in zip(row, c)) for row in m.rows))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_rescaled_eigenvectors_verify_by_products(kind):
+    # (R diag(c), diag(c)^-1 L) is as good a decomposition; its diagonals are not
+    # unit, so the certificate declines and the products decide
+    n = 9
+    dec = closed_form_decomposition(kind, n)
+    c = [Fraction(k + 2, 3) * (-1) ** k for k in range(n)]
+    inverse_rows = _columns_scaled(dec.L.transpose(), [1 / ck for ck in c]).transpose()
+    scaled = dec._replace(R=_columns_scaled(dec.R, c), L=inverse_rows)
+    assert _both_checks(scaled) == (False, (True, True))
+    assert verify_decomposition(scaled).ok
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_eigen_equations_alone_do_not_pass(kind):
+    # cases where every eigen-equation off the diagonal holds and the identities still fail
+    n = 7
+    dec = closed_form_decomposition(kind, n)
+    # D shifted by a constant: d_j - d_i is unchanged, R diag(D) L = Q + I
+    shifted = dec._replace(D=tuple(d + 1 for d in dec.D))
+    # R's columns scaled, L left as it is: R L = R diag(c) R^-1, not I
+    scaled = dec._replace(R=_columns_scaled(dec.R, range(2, n + 2)))
+    for bad, expected in ((shifted, (True, False)), (scaled, (False, False))):
+        report = verify_decomposition(bad)
+        assert (report.rl_is_identity, report.rdl_is_generator) == expected
+        assert _both_checks(bad) == (False, expected)
+
+
+def test_negative_control_kingman_eigenvalue_fails():
+    n = 12
+    dec = closed_form_decomposition(GeneratorKind.KINGMAN_FIXATION, n)
+    bad = dec._replace(D=dec.D[:5] + (dec.D[5] + Fraction(1, 10**30),) + dec.D[6:])
+    report = verify_decomposition(bad)
+    assert (report.rl_is_identity, report.rdl_is_generator) == (True, False)
+
+
+def test_mismatched_kind_or_orientation_reports_like_products():
+    n = 8
+    block = closed_form_decomposition(GeneratorKind.BS_BLOCK, n)
+    fix = closed_form_decomposition(GeneratorKind.BS_FIXATION, n)
+    kingman = GeneratorKind.KINGMAN_FIXATION
+    cases = [
+        # lower factors labelled with an upper kind: R L = I holds, R D L is not that generator
+        (block._replace(kind=GeneratorKind.BS_FIXATION), (True, False)),
+        # the right orientation, unit diagonals and D, but another chain's eigenvectors
+        (fix._replace(kind=kingman, D=eigenvalues(kingman, n)), (True, False)),
+        # factors of opposite orientations: neither identity holds
+        (fix._replace(L=block.L), (False, False)),
+    ]
+    for dec, expected in cases:
+        report = verify_decomposition(dec)
+        assert (report.rl_is_identity, report.rdl_is_generator) == expected
+        assert _both_checks(dec) == (False, expected)
+
+
+def test_closed_forms_call_no_factorial_or_stirling_per_entry(monkeypatch):
+    # with the Stirling tables warm, a decomposition makes at most one
+    # factorial or Stirling call per row
+    n = 30
+    for kind in KINDS:
+        closed_form_decomposition(kind, n)  # warm the tables
+    calls = []
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args):
+            calls.append(name)
+            return original(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(math, "factorial")
+    counted(combinatorics, "stirling_first")
+    counted(combinatorics, "stirling_second")
+    # and under the names spectral holds, should it import any of them
+    for name in ("factorial", "stirling_first", "stirling_second", "_stirling_rows"):
+        if hasattr(spectral, name):
+            counted(spectral, name)
+    for kind in KINDS:
+        calls.clear()
+        dec = closed_form_decomposition(kind, n)
+        assert len(calls) <= n, (kind, len(calls))
+        assert dec.R.rows[0][0] == 1

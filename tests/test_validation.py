@@ -7,6 +7,8 @@ import pytest
 
 from bscoal.analytics import (
     TimePoint,
+    absorption_cdf,
+    block_tail_via_duality,
     edgeworth_cdf,
     fixation_marginal,
     fixation_pgf,
@@ -33,6 +35,7 @@ from bscoal.spectral import (
 
 TP = TimePoint.from_time(1.0)
 FIX = GeneratorKind.BS_FIXATION
+KINGMAN = GeneratorKind.KINGMAN_FIXATION
 ONE = ((Fraction(1),),)
 
 
@@ -71,12 +74,31 @@ GUARDS = {
     "general_binomial negative past range": (lambda: general_binomial(-1e308, 3), "exceeds the float range"),
     "general_binomial log-gamma past range": (lambda: general_binomial(1e308, 70), "exceeds the float range"),
     "general_binomial exp past range": (lambda: general_binomial(1e5, 200), "exceeds the float range"),
+    "general_binomial log-gamma cancels": (lambda: general_binomial(1e300, 70), "loses its digits"),
+    # these raised OverflowError: int too large to convert to float
+    "fixation_pgf i past float range": (lambda: fixation_pgf(2**1100, TP, 0.5), "state i of 1101 bits"),
+    "fixation_marginal j past float range": (lambda: fixation_marginal(TP, 10**400), "state j of 1329 bits"),
+    "absorption_cdf n past float range": (lambda: absorption_cdf(10**400, 1, 1.0), "n of 1329 bits"),
+    "block_tail_via_duality n past float range": (
+        lambda: block_tail_via_duality(10**400, 1, TP),
+        "n of 1329 bits",
+    ),
+    "hitting_probability integral past float range": (
+        lambda: hitting_probability(1, 10**400, "integral"),
+        "j - i of 1329 bits",
+    ),
     "TriangularMatrix orientation": (lambda: TriangularMatrix(1, "diagonal", ONE), "orientation must be"),
     "TriangularMatrix ragged": (lambda: TriangularMatrix(2, "upper", ((1, 0), (1,))), "n x n array"),
     "TriangularMatrix.entry": (lambda: TriangularMatrix(1, "upper", ONE).entry(1, 2), r"outside 1\.\.1"),
     "generator_entry state": (lambda: generator_entry(FIX, 0, 1), "states must be positive"),
     "build_generator n": (lambda: build_generator(FIX, 0), "truncation size must be positive"),
     "closed_form_decomposition n": (lambda: closed_form_decomposition(FIX, 0), "truncation size must be positive"),
+    # Kingman's closed forms and generator read no Stirling table, yet share its size bound
+    "closed_form_decomposition kingman n": (
+        lambda: closed_form_decomposition(KINGMAN, 10**5),
+        "DEFAULT_NMAX = 256",
+    ),
+    "build_generator kingman n": (lambda: build_generator(KINGMAN, 10**5), "DEFAULT_NMAX = 256"),
     "recursive_decomposition count": (
         lambda: recursive_decomposition(build_generator(FIX, 3), eigenvalues(FIX, 2), FIX),
         "eigenvalue count",
