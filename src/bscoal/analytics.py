@@ -30,8 +30,8 @@ from .combinatorics import (
     DEFAULT_NMAX,
     EULER_GAMMA,
     ZETA,
+    _stirling_rows,
     general_binomial,
-    stirling_first,
     stirling_second,
 )
 
@@ -113,30 +113,35 @@ def _stirling_pairs(i: int, j: int, route: str, top: str) -> list[int]:
     weightings of one spectral sum, (-1)^(i+j) (i!/j!) sum_k S(k,i) s(j,k) w_k:
     w_k = alpha^k gives p_ij(t), and w_k = j/k the probability of hitting j.
     Past DEFAULT_NMAX it raises ValueError before reading a row, naming
-    ``route`` and the state ``top`` = j.
+    ``route`` and the state ``top`` = j.  Otherwise it reads the row s(j, .)
+    and the column S(., i) from one ``_stirling_rows`` call.
     """
     if j > DEFAULT_NMAX:
         raise ValueError(
             f"{route} needs Stirling numbers up to {top} = {j}, "
             f"past the table bound DEFAULT_NMAX = {DEFAULT_NMAX}"
         )
-    return [stirling_second(k, i) * stirling_first(j, k) for k in range(i, j + 1)]
+    s, S = _stirling_rows(j)
+    row = s[j]
+    return [S[k][i] * row[k] for k in range(i, j + 1)]
 
 
 def _transition_stirling(i: int, j: int, alpha: float) -> float:
-    # the pair sum at w_k = alpha^k, exactly: with alpha = a/b (b a power of
-    # two) the sum times b^j / a^i is the integer
-    # sum_k S(k,i) s(j,k) a^(k-i) b^(j-k), built by Horner from k = j down.
+    # the pair sum at w_k = alpha^k, exactly: with alpha = a / 2^e the sum
+    # times 2^(e j) / a^i is the integer sum_k S(k,i) s(j,k) a^(k-i) 2^(e (j-k)),
+    # built by Horner from k = j down, the powers of two as shifts.
     pairs = _stirling_pairs(i, j, f"stirling transition p({i},{j})", "j")
     a, b = alpha.as_integer_ratio()
+    e = b.bit_length() - 1  # b = 2^e
     acc = 0
-    b_pow = 1
+    shift = 0
     for pair in reversed(pairs):
-        acc = acc * a + pair * b_pow
-        b_pow *= b
-    sign = -1 if (i + j) % 2 else 1
+        acc = acc * a + (pair << shift)
+        shift += e
+    if (i + j) % 2:
+        acc = -acc
     # int / int is correctly rounded, as float(Fraction) is.
-    return (sign * factorial(i) * a**i * acc) / (factorial(j) * b**j)
+    return (factorial(i) * a**i * acc) / (factorial(j) << (e * j))
 
 
 def fixation_transition(i: int, j: int, tp: TimePoint, formula: str = "stirling") -> float:
@@ -545,6 +550,10 @@ def edgeworth_cdf(n: int, i: int, x: float, K: int) -> float:
     1e-9 (near the bulk x = -log log i, at n = 100, from i of about 1.6e3
     on at K = 12, 3e8 at K = 6 and 8e185 at K = 2; never at K <= 1), or
     where i exceeds the float range, it raises NumericInstabilityError.
+
+    A truncated expansion is no distribution function: its value can fall
+    just outside [0, 1] (-7.4e-22 at n = 10, i = 1, x = -4.0, K = 2), and
+    it is returned as it is, not clamped.
     """
     if n < 3:
         raise ValueError(f"need n >= 3 so that log log n is meaningful, got {n}")

@@ -7,15 +7,17 @@ identities R L = I and R diag(D) L = generator hold exactly at any
 truncation size.  They are checked in integer-scaled exact arithmetic,
 first by the eigen-equations R D = Q R and L Q = D L (each column of R
 and each row of L times the lcm of its denominators, against the
-generator's small rates), which prove both identities when R and L are
-unit triangular in the generator's orientation and D is its diagonal;
-any other decomposition goes to the two triangle products.  R and L
+generator's small rates as integer rows over per-row scales), which prove
+both identities when R and L are unit triangular in the generator's
+orientation and D is its diagonal; any other decomposition goes to the
+two triangle products, the one check that builds the ``Fraction``
+generator.  One rate formula per kind serves both.  R and L
 come from closed forms, built row by row from one factorial list and
 one read of the Stirling rows, or from one eigenvector recursion that
 serves both orientations (L from the recursion on the transpose).  The
 recursion also runs on integers: it holds each column as integers over one
-denominator and builds one ``Fraction`` per entry.  Generators and closed
-forms take 1 <= n <= DEFAULT_NMAX.
+denominator and builds one ``Fraction`` per entry.  Generators, spectra,
+closed forms, the recursion and the check take 1 <= n <= DEFAULT_NMAX.
 
 Covered generators:
 
@@ -117,28 +119,56 @@ class VerificationReport(namedtuple("VerificationReport", "kind n rl_is_identity
         return self.rl_is_identity and self.rdl_is_generator
 
 
+def _rate(kind: GeneratorKind, i: int, j: int) -> tuple[int, int]:
+    """Rate q(i, j) of the untruncated generator as (numerator, denominator).
+
+    The one statement of each kind's rates, which the ``Fraction``
+    generator and the certificate's integer rows both read.  A
+    Bolthausen-Sznitman jump of size m >= 1 (down for the block counting
+    process, up for its fixation line) has rate i / (m (m+1)); the
+    diagonal is minus the total rate, and a jump the chain cannot make is
+    (0, 1).
+    """
+    if kind is GeneratorKind.KINGMAN_FIXATION:
+        # pure birth at rate i (i+1) / 2
+        if j == i + 1:
+            return i * (i + 1), 2
+        return (-i * (i + 1), 2) if j == i else (0, 1)
+    block = kind is GeneratorKind.BS_BLOCK
+    m = i - j if block else j - i
+    if m > 0:
+        return i, m * (m + 1)
+    if m == 0:
+        return (1 - i if block else -i), 1
+    return 0, 1
+
+
 def generator_entry(kind: GeneratorKind, i: int, j: int) -> Fraction:
     """Exact rate q(i, j) of the untruncated generator."""
     if i < 1 or j < 1:
         raise ValueError(f"states must be positive, got ({i}, {j})")
-    if kind is GeneratorKind.BS_BLOCK:
-        if j < i:
-            return Fraction(i, (i - j) * (i - j + 1))
-        if j == i:
-            return Fraction(1 - i)
-        return Fraction(0)
-    if kind is GeneratorKind.BS_FIXATION:
-        if j > i:
-            return Fraction(i, (j - i) * (j - i + 1))
-        if j == i:
-            return Fraction(-i)
-        return Fraction(0)
-    # Kingman fixation line: pure birth at rate i (i+1) / 2.
-    if j == i + 1:
-        return Fraction(i * (i + 1), 2)
-    if j == i:
-        return Fraction(-i * (i + 1), 2)
-    return Fraction(0)
+    return Fraction(*_rate(kind, i, j))
+
+
+def _generator_rows(kind: GeneratorKind, n: int, transposed: bool = False) -> tuple[list, list]:
+    """Rows of the truncated generator Q (or of Q^T) on its triangle, in integers.
+
+    Row i (0-based) lists the entries at distance 0, 1, 2, ... from the
+    diagonal into the triangle, up to its last nonzero one, times c_i, the
+    lcm of their denominators: (rows, [c_i]).  Both come from ``_rate``
+    with no ``Fraction``; Kingman's rows hold at most two entries.
+    """
+    upper = (kind.orientation == "upper") != transposed
+    rows, scales = [], []
+    for i in range(1, n + 1):
+        others = range(i, n + 1) if upper else range(i, 0, -1)
+        rates = [_rate(kind, k, i) if transposed else _rate(kind, i, k) for k in others]
+        while len(rates) > 1 and not rates[-1][0]:
+            rates.pop()
+        c = math.lcm(*(den for _, den in rates))
+        rows.append([num * (c // den) for num, den in rates])
+        scales.append(c)
+    return rows, scales
 
 
 def _triangular(n: int, orientation: str, entry) -> TriangularMatrix:
@@ -177,7 +207,11 @@ def build_generator(kind: GeneratorKind, n: int) -> TriangularMatrix:
 
 
 def eigenvalues(kind: GeneratorKind, n: int) -> tuple[Fraction, ...]:
-    """Generator diagonal, which is the spectrum of any truncation."""
+    """Generator diagonal, which is the spectrum of any truncation.
+
+    Raises ValueError unless 1 <= n <= DEFAULT_NMAX, as the generator does.
+    """
+    _check_size(kind, n, "spectrum")
     return tuple(generator_entry(kind, i, i) for i in range(1, n + 1))
 
 
@@ -312,6 +346,7 @@ def recursive_decomposition(
     L R = I.
     """
     n = generator.n
+    _check_size(kind, n, "recursive decomposition")
     d = tuple(Fraction(v) for v in eigvals)
     if len(d) != n:
         raise ValueError("eigenvalue count must match matrix size")
@@ -332,53 +367,57 @@ def _integer_scaled(vectors) -> tuple[list[list[int]], list[int]]:
     return ints, scales
 
 
-def _eigen_equations_hold(q: TriangularMatrix, d: Sequence[Fraction], vectors) -> bool:
-    """Whether q v_j = d_j v_j for each v_j = vectors[j], d being the diagonal of q.
+def _eigen_equations_hold(rows, scales, upper: bool, D, delta: int, vectors) -> bool:
+    """Whether q v_j = d_j v_j for each v_j = vectors[j], d_j = D[j] / delta.
 
-    Each v_j lies on column j's side of q's triangle, as a column of R
-    does, so row i of the equation reads sum_k q_ik v_jk = (d_j - d_i) v_ji
-    with k running from next to i up to j.  In the integers of
-    ``_right_eigenvectors`` (row i of q is G_i / c_i, d is D / delta), and
-    with v_j times the lcm of its denominators (the equation is
-    homogeneous) as N, that is delta sum_k G_ik N_k = c_i (D_j - D_i) N_i:
-    small rates times one big integer each.  Rates past the last nonzero
-    one of a row are skipped, so a bidiagonal q costs O(n^2) terms.
+    Row i of q is rows[i] / scales[i], from ``_generator_rows`` (upper
+    triangular when ``upper``).  Each v_j lies on column j's side of q's
+    triangle, as a column of R does, so row i of the equation reads
+    sum_k q_ik v_jk = d_j v_ji with k running from i to j.  Its part on the
+    triangle, ordered so that every row's terms are a run starting at
+    v_ji (reversed for a lower q), is scaled to integers N by the lcm of
+    its denominators (the equation is homogeneous); then it is
+    delta sum_m G_im N_(x+m) = c_i D_j N_x, with x the place of v_ji:
+    small rates times one big integer each, and no more terms than row i
+    holds rates.
     """
-    n = q.n
-    G, c = _integer_scaled(q.rows)
-    (D,), (delta,) = _integer_scaled([d])
-    upper = q.orientation == "upper"
-    # reach[i]: distance from the diagonal to the farthest nonzero rate of row i
-    reach = [
-        abs(next((k for k in (range(n - 1, i, -1) if upper else range(i)) if row[k]), i) - i)
-        for i, row in enumerate(G)
-    ]
-    V, _ = _integer_scaled(vectors)
-    for j, N in enumerate(V):
-        for i in range(j) if upper else range(j + 1, n):
-            lo, hi = (i + 1, min(j, i + reach[i]) + 1) if upper else (max(j, i - reach[i]), i)
-            if delta * sum(map(operator.mul, G[i][lo:hi], N[lo:hi])) != c[i] * (D[j] - D[i]) * N[i]:
+    if not upper:  # row i's terms start at place n - 1 - i of the reversed vector
+        rows, scales = rows[::-1], scales[::-1]
+    for j, v in enumerate(vectors):
+        ratios = [x.as_integer_ratio() for x in (v[: j + 1] if upper else v[j:][::-1])]
+        lcm = math.lcm(*(den for _, den in ratios))
+        N = [num * (lcm // den) for num, den in ratios]
+        Dj = D[j]
+        for x, g, c in zip(range(len(N) - 1), rows, scales):
+            if delta * sum(map(operator.mul, g, N[x : x + len(g)])) != c * Dj * N[x]:
                 return False
     return True
 
 
-def _certified(dec: SpectralDecomposition, gen: TriangularMatrix) -> bool:
-    """True only if R L = I and R diag(D) L = gen, by the eigen-equations.
+def _certified(dec: SpectralDecomposition) -> bool:
+    """True only if R L = I and R diag(D) L = Q, by the eigen-equations.
 
     It applies when R and L are unit triangular in the generator's
     orientation and D is the generator's diagonal (distinct for every
-    kind), and then checks R D = Q R and L Q = D L.  These make L R
-    commute with diag(D), so L R is diagonal; being unit triangular, it is
-    I.  Hence R L = I and R D L = Q R L = Q.  False means "not shown",
-    not "fails".
+    kind), and then checks R D = Q R and L Q = D L, against the integer
+    rows of Q and of Q^T.  These make L R commute with diag(D), so L R is
+    diagonal; being unit triangular, it is I.  Hence R L = I and
+    R D L = Q R L = Q.  False means "not shown", not "fails".
     """
+    n, kind = dec.n, dec.kind
     R, L = dec.R.rows, dec.L.rows
-    if not dec.R.orientation == dec.L.orientation == dec.kind.orientation:
+    if not dec.R.orientation == dec.L.orientation == kind.orientation:
         return False
-    if any(dec.D[i] != gen.rows[i][i] or R[i][i] != 1 or L[i][i] != 1 for i in range(dec.n)):
+    if any(R[i][i] != 1 or L[i][i] != 1 for i in range(n)):
         return False
-    return _eigen_equations_hold(gen, dec.D, list(zip(*R))) and _eigen_equations_hold(
-        gen.transpose(), dec.D, L
+    (D,), (delta,) = _integer_scaled([dec.D])
+    G, c = _generator_rows(kind, n)
+    if any(d * ci != g[0] * delta for d, g, ci in zip(D, G, c)):
+        return False
+    upper = kind.orientation == "upper"
+    GT, cT = _generator_rows(kind, n, transposed=True)
+    return _eigen_equations_hold(G, c, upper, D, delta, list(zip(*R))) and _eigen_equations_hold(
+        GT, cT, not upper, D, delta, L
     )
 
 
@@ -423,18 +462,23 @@ def verify_decomposition(dec: SpectralDecomposition) -> VerificationReport:
     """Exact booleans: R L = I and R diag(D) L = generator truncation.
 
     First the eigen-equations R D = Q R and L Q = D L are checked over
-    integer-scaled columns of R and rows of L against the generator's
-    small rates (``_certified``); when R and L are unit triangular in the
-    kind's orientation and D is the generator diagonal, they prove both
-    identities.  Anything else (another scaling of the eigenvectors, a
-    wrong D, a factor that fails its equation) goes to the two triangle
-    products in integer-scaled arithmetic, which say which identity fails.
+    integer-scaled columns of R and rows of L against the integer rows of
+    the generator and of its transpose (``_certified``); when R and L are
+    unit triangular in the kind's orientation and D is the generator
+    diagonal, they prove both identities.  Anything else (another scaling
+    of the eigenvectors, a wrong D, a factor that fails its equation) goes
+    to the two triangle products in integer-scaled arithmetic, against
+    the ``Fraction`` generator, which say which identity fails.  Raises
+    ValueError for n > DEFAULT_NMAX before any work.
     """
     n = dec.n
     if not (dec.R.n == dec.L.n == len(dec.D) == n):
         raise ValueError("size mismatch")
-    gen = build_generator(dec.kind, n)
-    rl_ok, rdl_ok = (True, True) if _certified(dec, gen) else _products_hold(dec, gen)
+    _check_size(dec.kind, n, "generator")
+    if _certified(dec):
+        rl_ok, rdl_ok = True, True
+    else:
+        rl_ok, rdl_ok = _products_hold(dec, build_generator(dec.kind, n))
     return VerificationReport(
         kind=dec.kind,
         n=dec.n,

@@ -192,9 +192,11 @@ class TestHitting:
 
     def test_stirling_routes_name_their_bound(self, monkeypatch):
         # past DEFAULT_NMAX = 256 each Stirling route raises before it reads a
-        # row, naming the state, the route and the bound; just inside, it answers
-        def no_rows(n, k):
-            raise AssertionError(f"Stirling row read for ({n}, {k})")
+        # row, naming the state, the route and the bound; just inside, it answers.
+        # _stirling_rows is where the routes read the tables, so a route that
+        # reached it past the bound would fail here
+        def no_rows(n):
+            raise AssertionError(f"Stirling rows read up to {n}")
 
         tp = TimePoint.from_time(1.0)
         calls = [
@@ -203,13 +205,20 @@ class TestHitting:
             (lambda: fixation_transition(5, 257, tp), "j = 257", "stirling"),
         ]
         with monkeypatch.context() as m:
-            m.setattr(analytics, "stirling_first", no_rows)
-            m.setattr(analytics, "stirling_second", no_rows)
+            m.setattr(analytics, "_stirling_rows", no_rows)
             for call, state, route in calls:
                 with pytest.raises(ValueError) as exc:
                     call()
                 msg = str(exc.value)
                 assert state in msg and route in msg and "DEFAULT_NMAX = 256" in msg, msg
+            # just inside the bound every route does read its rows there
+            for call in (
+                lambda: hitting_probability(5, 256, HittingMethod.STIRLING_DOUBLE),
+                lambda: hitting_probability(50, 305, HittingMethod.STIRLING_SHIFT),
+                lambda: fixation_transition(5, 256, tp),
+            ):
+                with pytest.raises(AssertionError, match="Stirling rows read up to 256"):
+                    call()
         assert 0 < hitting_probability(50, 305, HittingMethod.STIRLING_SHIFT) < 1
         assert 0 <= fixation_transition(5, 256, tp) <= 1
 

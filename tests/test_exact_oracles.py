@@ -30,7 +30,7 @@ from math import factorial
 
 import pytest
 
-from bscoal import analytics, combinatorics
+from bscoal import analytics, combinatorics, spectral
 from bscoal.analytics import (
     HittingMethod,
     NumericInstabilityError,
@@ -42,7 +42,7 @@ from bscoal.analytics import (
     hitting_gf_coefficients,
     hitting_probability,
 )
-from bscoal.combinatorics import signed_log_gamma, stirling_first, stirling_second
+from bscoal.combinatorics import DEFAULT_NMAX, signed_log_gamma, stirling_first, stirling_second
 from bscoal.spectral import (
     GeneratorKind,
     SpectralDecomposition,
@@ -60,12 +60,14 @@ from bscoal.spectral import (
 # ---------------------------------------------------------------------------
 
 def transition_stirling_reference(i: int, j: int, alpha: Fraction) -> Fraction:
-    # (-1)^{i+j} (i!/j!) sum_k S(k,i) alpha^k s(j,k), all in exact rationals.
+    # (-1)^{i+j} (i!/j!) sum_k S(k,i) alpha^k s(j,k), all in exact rationals;
+    # the polynomial in alpha by Horner, so that no sum adds two rationals over
+    # different huge powers of two (at a subnormal alpha, 2^-1074).
     acc = Fraction(0)
-    for k in range(i, j + 1):
-        acc += stirling_second(k, i) * alpha**k * stirling_first(j, k)
+    for k in range(j, i - 1, -1):
+        acc = acc * alpha + stirling_second(k, i) * stirling_first(j, k)
     sign = -1 if (i + j) % 2 else 1
-    return sign * Fraction(factorial(i), factorial(j)) * acc
+    return sign * Fraction(factorial(i), factorial(j)) * acc * alpha**i
 
 
 def hitting_shift_reference(d: int) -> Fraction:
@@ -266,7 +268,11 @@ def test_edgeworth_bit_identical_to_reference(i):
     assert answered >= 100
 
 
-@pytest.mark.parametrize("t", [0.1, 0.5, 1.0, 3.0])
+# t = 0 is alpha = 1 (b = 1, no shift); t = 745 the least subnormal, 2^-1074
+TRANSITION_TIMES = [0.0, 0.1, 0.5, 1.0, 3.0, 40.0, 745.0]
+
+
+@pytest.mark.parametrize("t", TRANSITION_TIMES)
 def test_transition_grid_matches_reference(t):
     tp = TimePoint.from_time(t)
     alpha = Fraction(tp.alpha)
@@ -282,6 +288,42 @@ def test_transition_row_one_matches_reference():
     alpha = Fraction(tp.alpha)
     for j in range(1, 101):
         assert fixation_transition(1, j, tp) == float(transition_stirling_reference(1, j, alpha)), j
+
+
+@pytest.mark.parametrize("t", TRANSITION_TIMES)
+def test_transition_rows_at_the_bound_match_reference(t):
+    tp = TimePoint.from_time(t)
+    alpha = Fraction(tp.alpha)
+    if t == 745.0:
+        assert alpha == Fraction(1, 2**1074)
+    for i in (1, 128, DEFAULT_NMAX):
+        assert fixation_transition(i, DEFAULT_NMAX, tp) == float(
+            transition_stirling_reference(i, DEFAULT_NMAX, alpha)
+        ), i
+
+
+def generator_from_rows(n: int, upper: bool, rows, scales) -> tuple:
+    # the n x n matrix whose row i holds rows[i][m] / scales[i] at distance m
+    # from the diagonal, into the triangle, and zero elsewhere
+    full = [[Fraction(0)] * n for _ in range(n)]
+    for i, (row, c) in enumerate(zip(rows, scales)):
+        assert c > 0 and len(row) <= (n - i if upper else i + 1), (i, len(row))
+        for m, g in enumerate(row):
+            full[i][i + m if upper else i - m] = Fraction(g, c)
+    return tuple(map(tuple, full))
+
+
+@pytest.mark.parametrize("kind", list(GeneratorKind))
+@pytest.mark.parametrize("n", [1, 2, 7, 60])
+def test_certificate_rows_are_the_generator(kind, n):
+    # the integer rows over their scales that the eigen-equations read are Q and Q^T
+    gen = build_generator(kind, n)
+    upper = kind.orientation == "upper"
+    for transposed, want in ((False, gen), (True, gen.transpose())):
+        rows, scales = spectral._generator_rows(kind, n, transposed)
+        assert len(rows) == len(scales) == n
+        assert all(type(g) is int for row in rows for g in row) and all(type(c) is int for c in scales)
+        assert generator_from_rows(n, upper != transposed, rows, scales) == want.rows, transposed
 
 
 @pytest.mark.parametrize("kind", list(GeneratorKind))

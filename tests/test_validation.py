@@ -18,7 +18,7 @@ from bscoal.analytics import (
     hitting_gf_coefficients,
     hitting_probability,
 )
-from bscoal.combinatorics import general_binomial
+from bscoal.combinatorics import DEFAULT_NMAX, general_binomial
 from bscoal.limits import siegmund_duality_gap
 from bscoal.simulate import estimate_hitting, replicate_rng, simulate_block, simulate_fixation
 from bscoal.spectral import (
@@ -42,6 +42,10 @@ ONE = ((Fraction(1),),)
 def _mismatched_sizes():
     dec = closed_form_decomposition(FIX, 3)
     return SpectralDecomposition(FIX, 3, dec.R, dec.D, closed_form_decomposition(FIX, 2).L)
+
+
+def _zero_generator(n):
+    return TriangularMatrix(n, "upper", ((0,) * n,) * n)
 
 
 GUARDS = {
@@ -104,6 +108,17 @@ GUARDS = {
         "eigenvalue count",
     ),
     "verify_decomposition sizes": (lambda: verify_decomposition(_mismatched_sizes()), "size mismatch"),
+    "verify_decomposition n": (
+        lambda: verify_decomposition(
+            SpectralDecomposition(FIX, 257, _zero_generator(257), (0,) * 257, _zero_generator(257))
+        ),
+        r"n = 257\b.*DEFAULT_NMAX = 256",
+    ),
+    # a user-built generator past the bound is refused before its eigenvalues are read
+    "recursive_decomposition n": (
+        lambda: recursive_decomposition(_zero_generator(DEFAULT_NMAX + 1), (), FIX),
+        rf"n = {DEFAULT_NMAX + 1}\b.*DEFAULT_NMAX = {DEFAULT_NMAX}",
+    ),
 }
 
 
@@ -111,4 +126,20 @@ GUARDS = {
 def test_guard_raises_value_error(call, message):
     with pytest.raises(ValueError, match=message):
         call()
+
+
+@pytest.mark.parametrize("kind", list(GeneratorKind))
+def test_spectrum_takes_the_generator_sizes(kind):
+    # eigenvalues(kind, n) is bounded like the generator whose diagonal it is
+    for n, message in (
+        (0, "truncation size must be positive"),
+        (-3, "truncation size must be positive"),
+        (DEFAULT_NMAX + 1, rf"{kind.value} spectrum at n = {DEFAULT_NMAX + 1}\b.*DEFAULT_NMAX = {DEFAULT_NMAX}"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            eigenvalues(kind, n)
+    assert eigenvalues(kind, DEFAULT_NMAX) == tuple(
+        generator_entry(kind, i, i) for i in range(1, DEFAULT_NMAX + 1)
+    )
+    assert len(eigenvalues(kind, 1)) == 1
 
