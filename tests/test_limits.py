@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bscoal import limits
 from bscoal.analytics import NumericInstabilityError, TimePoint
 from bscoal.limits import (
     LogProcess,
@@ -100,7 +101,7 @@ class TestSamplers:
         slope = np.polyfit(np.log(qs), np.log(tails), 1)[0]
         assert slope == pytest.approx(-alpha, abs=0.05)
 
-    @pytest.mark.parametrize("t", [6.0, 10.0, 20.0, 40.0])
+    @pytest.mark.parametrize("t", [6.0, 10.0, 20.0, 40.0, 700.0, 745.0])
     def test_mittag_leffler_finite_at_large_t(self, t):
         # alpha = e^-t is tiny: the draw must not pass through S = X^(-1/alpha)
         tp = TimePoint.from_time(t)
@@ -111,7 +112,7 @@ class TestSamplers:
         se = x.std() / math.sqrt(x.size)
         assert abs(x.mean() - ml_moment(tp, 1)) < 5 * se
 
-    @pytest.mark.parametrize("t", [6.0, 20.0])
+    @pytest.mark.parametrize("t", [6.0, 20.0, 40.0, 700.0, 745.0])
     def test_neveu_out_of_float_range_raises(self, t):
         # log Y is of order e^t: most draws pass 1e308 or fall below 1e-308
         tp = TimePoint.from_time(t)
@@ -119,6 +120,47 @@ class TestSamplers:
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(ValueError, match=f"t = {t!r}"):
                 sample_neveu(tp, replicate_rng(1), size=REPS)
+
+    def test_near_alpha_one_finite(self):
+        # t = 1e-12: 1 - alpha is 1e-12, so sin((1 - alpha) pi u) is as small as 1e-27
+        tp = TimePoint.from_time(1e-12)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            x = sample_mittag_leffler(tp, replicate_rng(1), size=2 * REPS)
+            y = sample_neveu(tp, replicate_rng(1), size=2 * REPS)
+        assert np.all(np.isfinite(x)) and np.all(x > 0) and np.all(np.isfinite(y)) and np.all(y > 0)
+        se = x.std() / math.sqrt(x.size)
+        assert abs(x.mean() - ml_moment(tp, 1)) < 5 * se
+        e = np.exp(-y)
+        assert abs(e.mean() - math.exp(-1.0)) < 5 * e.std() / math.sqrt(y.size)
+
+    @pytest.mark.parametrize("t", [0.5, 1.0, 745.0])
+    def test_scalar_draw_is_the_first_of_one(self, t):
+        tp = TimePoint.from_time(t)
+        for sampler in (sample_mittag_leffler, sample_neveu):
+            try:
+                scalar = sampler(tp, replicate_rng(12))
+            except ValueError:  # the stable law leaves the float64 range at t = 745
+                with pytest.raises(ValueError):
+                    sampler(tp, replicate_rng(12), size=1)
+                continue
+            one = sampler(tp, replicate_rng(12), size=1)
+            assert isinstance(scalar, float) and one.shape == (1,)
+            assert np.float64(scalar).tobytes() == one[0].tobytes()
+
+    @pytest.mark.parametrize("t", [0.5, 2.0])
+    def test_draws_leave_nodes_and_cdfs_as_they_were(self, t):
+        # the kernel computes in its own buffers: sampling must not write into _NODES,
+        # which every CDF evaluation reads
+        tp = TimePoint.from_time(t)
+        xs = np.logspace(-2.0, 1.0, 25)
+        nodes = limits._NODES.copy()
+        f, g = mittag_leffler_cdf(tp, xs), neveu_cdf(tp, xs)
+        sample_mittag_leffler(tp, replicate_rng(13), size=REPS)
+        sample_neveu(tp, replicate_rng(14), size=REPS)
+        assert limits._NODES.tobytes() == nodes.tobytes()
+        assert mittag_leffler_cdf(tp, xs).tobytes() == f.tobytes()
+        assert neveu_cdf(tp, xs).tobytes() == g.tobytes()
 
     def test_log_moments_match_cumulants(self):
         t = 0.7
@@ -131,6 +173,66 @@ class TestSamplers:
         var = centered.var()
         se2 = (centered**2).std() / math.sqrt(REPS)
         assert abs(var - log_cumulant(spec, 2)) < 4 * se2
+
+
+def _three_sine_kernel(a: float, u):
+    """k(u) = a log sin(a pi u) + (1-a) log sin((1-a) pi u) - log sin(pi u) term by term,
+    by three sines and three logs with the kernel's clamp: the reference form of the kernel."""
+    return (
+        a * np.log(np.maximum(np.sin(a * np.pi * u), 5e-324))
+        + (1.0 - a) * np.log(np.sin((1.0 - a) * np.pi * u))
+        - np.log(np.sin(np.pi * u))
+    )
+
+
+def _mpmath_kernel(mpmath, a: float, u):
+    """k(u) in 40 digits at the float arguments a pi u, (1-a) pi u and pi u that numpy forms,
+    and with the float weights a and 1 - a."""
+    b = 1.0 - a
+    out = []
+    with mpmath.workdps(40):
+        for x1, x2, x3 in zip(a * np.pi * u, b * np.pi * u, np.pi * u):
+            s1 = max(mpmath.sin(mpmath.mpf(x1)), mpmath.mpf(5e-324))
+            s2, s3 = mpmath.sin(mpmath.mpf(x2)), mpmath.sin(mpmath.mpf(x3))
+            out.append(float(a * mpmath.log(s1) + b * mpmath.log(s2) - mpmath.log(s3)))
+    return np.array(out)
+
+
+class TestKanterKernel:
+    # u = 1, 1 - 2^-53 and 2^-53, every power 2^-k and 1 - 2^-k, and a grid of step 1/3000
+    K = np.arange(1.0, 54.0)
+    U = np.unique(np.concatenate(([1.0, 1.0 - 2.0**-53, 2.0**-53, 0.5], 2.0**-K, 1.0 - 2.0**-K,
+                                  np.arange(1.0, 3001.0) / 3000)))
+
+    @pytest.mark.parametrize("t", [1e-9, 0.5, 1.0, 4.0, 30.0, 700.0])
+    def test_matches_mpmath(self, t):
+        # largest error relative to max(1, |k|) over U: 4.4e-16 to 1.4e-15 (three sines:
+        # 4.6e-15 to 8.8e-15); 6.9e-302 for both at t = 700
+        mpmath = pytest.importorskip("mpmath")
+        a = math.exp(-t)
+        want = _mpmath_kernel(mpmath, a, self.U)
+        err = np.abs(-limits._kanter_kernel(a, self.U) - want) / np.maximum(1.0, np.abs(want))
+        assert err.max() < 4e-15
+
+    @pytest.mark.parametrize("t", [0.5, 1.0, 2.0, 6.0])
+    def test_samplers_match_three_sines_on_the_same_stream(self, t):
+        # the samplers read rng.random(n), then rng.exponential(size=n); n spans two full
+        # blocks of the kernel and part of a third
+        tp, n = TimePoint.from_time(t), 2 * limits._BLOCK + 1000
+        rng = replicate_rng(115)
+        u = 1.0 - rng.random(n)
+        log_x = (1.0 - tp.alpha) * np.log(rng.exponential(size=n)) - _three_sine_kernel(tp.alpha, u)
+        x = sample_mittag_leffler(tp, replicate_rng(115), size=n)
+        assert np.max(np.abs(x / np.exp(log_x) - 1.0)) < 1e-13
+        with np.errstate(over="ignore", under="ignore"):
+            y_want = np.exp(log_x / -tp.alpha)
+        if np.all(y_want > 0.0) and np.all(y_want < math.inf):
+            y = sample_neveu(tp, replicate_rng(115), size=n)
+            assert np.max(np.abs(y / y_want - 1.0)) < 1e-13
+        else:  # at t = 6 the stable draws leave the float64 range on either side
+            assert t >= 6.0
+            with pytest.raises(ValueError):
+                sample_neveu(tp, replicate_rng(115), size=n)
 
 
 def _series_cdf(mpmath, alpha: float, x):
@@ -346,9 +448,10 @@ class TestDuality:
             with pytest.raises(ValueError):
                 siegmund_duality_gap(x, y, t, 10, replicate_rng(110))
 
-    @pytest.mark.parametrize("t", [6.0, 20.0])
+    @pytest.mark.parametrize("t", [6.0, 20.0, 745.0])
     def test_gap_near_zero_past_float_range(self, t):
-        # most stable draws at these t leave (0, inf); the gap is formed in the log domain
+        # most stable draws at these t leave (0, inf), and from t of about 709 on so does
+        # log Y_t; the gap is formed in the log domain, scaled by alpha
         gap = siegmund_duality_gap(1.0, 2.0, t, REPS, replicate_rng(109))
         assert abs(gap) < 5 * math.sqrt(0.5 / REPS)
 
