@@ -66,8 +66,7 @@ class TimePoint(namedtuple("TimePoint", "t alpha")):
     def __new__(cls, t: float, alpha: float):
         if t < 0:
             raise ValueError(f"time must be nonnegative, got {t}")
-        if not (0.0 < alpha <= 1.0):
-            raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
+        _check_alpha(alpha)
         if abs(alpha - math.exp(-t)) > 1e-12 * max(1.0, alpha):
             raise ValueError("alpha and t are inconsistent; use the constructors")
         return super().__new__(cls, t, alpha)
@@ -76,11 +75,22 @@ class TimePoint(namedtuple("TimePoint", "t alpha")):
 
     @classmethod
     def from_time(cls, t: float) -> "TimePoint":
-        return cls(t=float(t), alpha=math.exp(-float(t)))
+        try:
+            t = float(t)
+        except OverflowError:
+            raise ValueError(f"time t of {int(t).bit_length()} bits exceeds the float range") from None
+        return cls(t=t, alpha=math.exp(-t))
 
     @classmethod
     def from_alpha(cls, alpha: float) -> "TimePoint":
-        return cls(t=-math.log(float(alpha)), alpha=float(alpha))
+        alpha = float(alpha)
+        _check_alpha(alpha)  # before the log, which has no value at alpha <= 0
+        return cls(t=-math.log(alpha), alpha=alpha)
+
+
+def _check_alpha(alpha: float) -> None:
+    if not (0.0 < alpha <= 1.0):
+        raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
 
 
 class HittingMethod(enum.Enum):
@@ -192,12 +202,43 @@ def fixation_marginal(tp: TimePoint, j: int) -> float:
         raise ValueError(f"state j of {j.bit_length()} bits exceeds the float range") from None
 
 
+def _signed_binomials(i: int):
+    """(j, (-1)^(j-1) C(i, j)) for j = 1..i, as integers, by the product recurrence."""
+    c = -1
+    for j in range(1, i + 1):
+        c = -c * (i - j + 1) // j
+        yield j, c
+
+
+# At most 128 rows, and a row holds at most 1029 pairs: C(1029, j) <= 1.43e308
+# for every j, C(1030, 515) overflows, and past i = 1029 a row stops before
+# j = i / 2.  The 128 longest rows (i = 902..1029) take 13.9 MB by tracemalloc,
+# the sweep's seven i 10 KB.  lru_cache is thread-safe; typed, so that a float
+# i raises TypeError whether or not the row of its integer is cached.
+@functools.lru_cache(maxsize=128, typed=True)
+def _signed_binomial_row(i: int) -> tuple[tuple[float, float], ...]:
+    """(float(j), float((-1)^(j-1) C(i, j))) for j = 1.. up to i or the first coefficient past the float range.
+
+    j * alpha converts an integer j to float anyway, so j is stored converted.
+    """
+    row = []
+    for j, c in _signed_binomials(i):
+        try:
+            row.append((float(j), float(c)))
+        except OverflowError:
+            break
+    return tuple(row)
+
+
 def _block_tail(n: int, i: int, alpha: float) -> float:
     """P(block count from n is <= i) when exp(-t) = alpha.
 
     The survival sum sum_{j=1..i} (-1)^{j-1} C(i,j) Gamma(n - j a) /
     (Gamma(n) Gamma(1 - j a)); by duality also P(fixation line from i has
-    reached n).
+    reached n).  The signed binomials come from one cached float row per i;
+    where C(i, j) leaves the float range, the row ends and the integers
+    follow, so a term raises there unless it sits on a pole (alpha = 1
+    makes every term one).
     """
     if not (1 <= i <= n):
         raise ValueError(f"need 1 <= i <= n, got i={i}, n={n}")
@@ -205,25 +246,28 @@ def _block_tail(n: int, i: int, alpha: float) -> float:
         return 1.0
     lgamma, exp, floor = math.lgamma, math.exp, math.floor
     try:
-        lg_n = lgamma(n)
+        fn = float(n)  # n - ja and lgamma(n) convert n the same way
+        lg_n = lgamma(fn)
     except OverflowError:
         raise ValueError(f"block tail: n of {n.bit_length()} bits exceeds the float range") from None
+    pairs = _signed_binomial_row(i)
+    if len(pairs) < i:
+        pairs = itertools.chain(pairs, itertools.islice(_signed_binomials(i), len(pairs), None))
     terms = []
-    c = -1  # (-1)^(j-1) C(i, j), here for j = 0
+    append = terms.append
     try:
-        for j in range(1, i + 1):
-            c = -c * (i - j + 1) // j
+        for j, c in pairs:
             ja = j * alpha
             x = 1.0 - ja
-            if x > 0.0:
-                s = c
-            else:
+            if not x > 0.0:  # not x <= 0.0: a NaN x reaches floor, which raises
                 # Gamma alternates sign on (-m-1, -m); 1/Gamma vanishes at its poles
                 fl = floor(x)
                 if x == fl:
                     continue
-                s = c if fl % 2 == 0 else -c
-            terms.append(s * exp(lgamma(n - ja) - lg_n - lgamma(x)))
+                if fl % 2:
+                    c = -c
+            # an integer c past the float range raises OverflowError here
+            append(c * exp(lgamma(fn - ja) - lg_n - lgamma(x)))
     except OverflowError:
         raise NumericInstabilityError(f"block tail: C({i}, j) exceeds the float range") from None
     val = math.fsum(terms)
@@ -354,8 +398,9 @@ def _hitting_integral(d: int) -> float:
     # (1/d!) int_0^1 Gamma(d + x) / Gamma(x) dx; the integrand extends
     # continuously to 0 at x = 0 since 1/Gamma(x) ~ x.
     lgamma, exp = math.lgamma, math.exp
-    lg_d1 = lgamma(d + 1.0)
-    return math.fsum([w * exp(lgamma(d + x) - lg_x - lg_d1) for x, w, lg_x in _GAUSS_LEGENDRE])
+    df = float(d)  # d + x converts d the same way
+    lg_d1 = lgamma(df + 1.0)
+    return math.fsum([w * exp(lgamma(df + x) - lg_x - lg_d1) for x, w, lg_x in _GAUSS_LEGENDRE])
 
 
 def hitting_probability(i: int, j: int, method: HittingMethod = HittingMethod.CONVOLUTION):
@@ -428,7 +473,11 @@ def absorption_cdf(n: int, i: int, t: float) -> float:
     """P(block counting process from n reaches a state <= i by time t)."""
     if not t > 0:
         raise ValueError(f"time t must be positive, got t = {t}")
-    return _block_tail(n, i, math.exp(-t))
+    try:
+        alpha = math.exp(-t)
+    except OverflowError:  # only converting an integer t to float can overflow here
+        raise ValueError(f"time t of {int(t).bit_length()} bits exceeds the float range") from None
+    return _block_tail(n, i, alpha)
 
 
 def gumbel_limit_cdf(i: int, x: float) -> float:
@@ -467,8 +516,12 @@ _GUMBEL_ZERO_X = -7.0
 
 
 def _gumbel_underflows(x: float) -> bool:
-    """Whether the Gumbel CDF exp(-exp(-x)) is 0.0; ValueError for NaN x."""
-    if math.isnan(x):
+    """Whether the Gumbel CDF exp(-exp(-x)) is 0.0; ValueError for NaN x and past the float range."""
+    try:
+        is_nan = math.isnan(x)
+    except OverflowError:
+        raise ValueError(f"x of {int(x).bit_length()} bits exceeds the float range") from None
+    if is_nan:
         raise ValueError(f"x must be a number, got x = {x}")
     return x <= _GUMBEL_ZERO_X
 

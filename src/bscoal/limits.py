@@ -143,7 +143,16 @@ def sample_mittag_leffler(tp: TimePoint, rng: np.random.Generator, size=None):
 # integrands fall to 0 at a distance from u = 1 proportional to x.
 _EDGES = np.append(1.0 - 0.5 ** np.arange(41.0), 1.0)
 _HALF = np.diff(_EDGES)[:, None] / 2
-_GL, _GW = np.polynomial.legendre.leggauss(10)
+# numpy.polynomial.legendre.leggauss(10), its 5 positive (node, weight) pairs; the
+# rule is symmetric bit for bit, and test_graded_rule_is_numpys_leggauss_10 pins it
+_GL10_POSITIVE = (
+    (0.14887433898163122, 0.2955242247147528),
+    (0.4333953941292472, 0.2692667193099965),
+    (0.6794095682990244, 0.219086362515982),
+    (0.8650633666889845, 0.1494513491505804),
+    (0.9739065285171717, 0.06667134430868814),
+)
+_GL, _GW = np.array([(-x, w) for x, w in reversed(_GL10_POSITIVE)] + list(_GL10_POSITIVE)).T
 _NODES, _WEIGHTS = (_EDGES[:-1, None] + _HALF * (1.0 + _GL)).ravel(), (_HALF * _GW).ravel()
 _NODES.flags.writeable = _WEIGHTS.flags.writeable = False
 

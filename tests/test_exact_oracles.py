@@ -13,21 +13,27 @@ its reference is the renewal convolution on the same integer numerators,
 and its snapshots must be equal.
 
 The block survival sum does its float arithmetic in one pass, with no
-helper call per term.  Its reference below is the same sum written with
-``signed_log_gamma`` and ``math.comb`` per term: every float must be
-bit-identical and every raise of the same type.  The Edgeworth point sums
+helper call per term, and reads its signed binomials from a cached float
+row.  Its reference below is the same sum written with ``signed_log_gamma``
+and ``math.comb`` per term: every float must be bit-identical and every
+raise of the same type, from one or four threads.  The Edgeworth point sums
 d_k in its Stirling form, a term per S(k, m); its reference is the binomial
 form sum_j (-1)^(j-1) C(i, j) j^k F^j with ``math.comb`` per term, and the two
 must agree within their rounding bounds, and bit for bit on the guarded
 edges.  A second guard test makes those helpers raise under the kernels.
-(The hitting quadrature has its per-node reference in ``test_analytics.py``.)
+The hitting quadrature must be bit-identical to the same sum with d left an
+integer in every d + x (its per-node reference is in ``test_analytics.py``).
 """
 
+import concurrent.futures
 import math
 import operator
+import sys
+import threading
 from fractions import Fraction
 from math import factorial
 
+import numpy as np
 import pytest
 
 from bscoal import analytics, combinatorics, spectral
@@ -167,16 +173,26 @@ def block_tail_reference(n: int, i: int, alpha: float) -> float:
         return 1.0
     lg_n = math.lgamma(n)
     terms = []
-    for j in range(1, i + 1):
-        s_den, l_den = signed_log_gamma(1.0 - j * alpha)
-        if s_den == 0:
-            continue  # 1/Gamma vanishes at nonpositive integers
-        mag = math.exp(math.lgamma(n - j * alpha) - lg_n - l_den)
-        terms.append((-1) ** (j - 1) * s_den * math.comb(i, j) * mag)
+    try:
+        for j in range(1, i + 1):
+            s_den, l_den = signed_log_gamma(1.0 - j * alpha)
+            if s_den == 0:
+                continue  # 1/Gamma vanishes at nonpositive integers
+            mag = math.exp(math.lgamma(n - j * alpha) - lg_n - l_den)
+            terms.append((-1) ** (j - 1) * s_den * math.comb(i, j) * mag)
+    except OverflowError:  # C(i, j) past the float range, on a term that is no pole
+        raise NumericInstabilityError(f"block tail: C({i}, j) exceeds the float range") from None
     val = math.fsum(terms)
     if val < -1e-9 or val > 1.0 + 1e-9:
         raise NumericInstabilityError(f"block tail {val} outside [0, 1]")
     return min(max(val, 0.0), 1.0)
+
+
+def hitting_integral_reference(d: int) -> float:
+    # the quadrature with d an integer in every d + x, as the library read it before
+    # converting d once
+    lg_d1 = math.lgamma(d + 1.0)
+    return math.fsum([w * math.exp(math.lgamma(d + x) - lg_x - lg_d1) for x, w, lg_x in analytics._GAUSS_LEGENDRE])
 
 
 def edgeworth_cdf_reference(n: int, i: int, x: float, K: int) -> tuple[float, float]:
@@ -229,6 +245,56 @@ def test_block_tail_bit_identical_to_reference(n):
         for alpha in TAIL_ALPHAS:
             want = outcome(block_tail_reference, n, i, alpha)
             assert outcome(analytics._block_tail, n, i, alpha) == want, (n, i, alpha)
+    # C(1029, j) fits a float for every j and C(1030, 515) does not; at alpha = 1
+    # every term is a pole, so a row that overflows is no raise by itself.
+    for i in (1029, 1030, 1100):
+        for alpha in (1.0, 0.5, math.exp(-1), 0.0):
+            want = outcome(block_tail_reference, n, i, alpha)
+            assert outcome(analytics._block_tail, n, i, alpha) == want, (n, i, alpha)
+
+
+def test_block_tail_skips_the_overflowing_poles():
+    # at alpha = 1 every term is a pole, so the sum is 0.0 although C(1100, 550)
+    # overflows; at alpha = 1/2 only even j are poles, and j = 515 raises
+    assert block_tail_via_duality(5000, 1100, TimePoint.from_time(0.0)) == 0.0
+    with pytest.raises(NumericInstabilityError, match=r"C\(1030, j\)"):
+        analytics._block_tail(5000, 1030, 0.5)
+
+
+def test_block_tail_dense_sweep_slice_matches_reference():
+    # the sweep's dense grid at every 97th t = 0.0005 k, and t = log 2, where
+    # alpha = 1/2 puts a pole at every even j
+    ts = [round(0.0005 * k, 10) for k in range(1, 8001, 97)] + [math.log(2.0)]
+    for n in (10**2, 10**3, 10**4, 10**5, 10**6):
+        for i in (1, 2, 5, 10):
+            for t in ts:
+                want = outcome(block_tail_reference, n, i, math.exp(-t))
+                assert outcome(absorption_cdf, n, i, t) == want, (n, i, t)
+                assert outcome(block_tail_via_duality, n, i, TimePoint.from_time(t)) == want, (n, i, t)
+
+
+def test_block_tail_rows_agree_across_threads():
+    # rows built and evicted concurrently (201 rows against the cache's 128)
+    # give the floats and raises of serial calls
+    alphas = (1.0, 0.5, 0.3, math.exp(-1), 1e-3)
+    cases = [(n, i, a) for i in [*range(1, 201), 1030] for n in (i + 1, 10**4) for a in alphas]
+    serial = [outcome(analytics._block_tail, *case) for case in cases]
+    analytics._signed_binomial_row.cache_clear()
+    barrier = threading.Barrier(4, timeout=30)
+
+    def work(k):
+        barrier.wait()
+        return [(case, outcome(analytics._block_tail, *case)) for case in cases if case[1] % 4 == k]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads mid-row
+    try:
+        with concurrent.futures.ThreadPoolExecutor(4) as pool:
+            parts = list(pool.map(work, range(4), timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    threaded = dict(pair for part in parts for pair in part)
+    assert [threaded[case] for case in cases] == serial
 
 
 def test_block_tail_grid_reaches_every_branch():
@@ -239,6 +305,13 @@ def test_block_tail_grid_reaches_every_branch():
         for a in TAIL_ALPHAS
     }
     assert {"ValueError", "NumericInstabilityError", (1.0).hex(), (0.0).hex()} <= outcomes
+
+
+def test_hitting_integral_bit_identical_to_reference():
+    # d = j - 1 on the sweep's grid of h(1, j), with j = 10^6 of the cli's digest, and d = 10^6
+    js = {int(j) for j in np.unique(np.logspace(0.3, 6.0, 12000).astype(np.int64)) if j >= 2} | {10**6}
+    for d in sorted({j - 1 for j in js} | {10**6}):
+        assert analytics._hitting_integral(d).hex() == hitting_integral_reference(d).hex(), d
 
 
 EDGEWORTH_X = (-800.0, -8.0, -7.0, -6.99, -3.0, -1.0, -0.05, 0.0, 0.5, 2.0, 10.0, 40.0, 800.0, math.inf, math.nan)

@@ -66,6 +66,11 @@ class TestColdStart:
         )
         assert _python(code).split() == ["loaded:"]
 
+    def test_limits_loads_no_numpy_polynomial(self):
+        # the graded rule's 10 Gauss-Legendre nodes are literals, not leggauss(10)
+        code = "import sys, bscoal.limits\nprint('numpy.polynomial' in sys.modules)\n"
+        assert _python(code).split() == ["False"]
+
     def test_closed_form_commands_run_without_numpy(self):
         # None in sys.modules makes any import of numpy raise ImportError
         code = (

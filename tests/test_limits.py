@@ -281,6 +281,10 @@ class TestExactCdfs:
         y = sample_neveu(tp, replicate_rng(111), size=REPS)
         assert ks_distance(y, lambda v: neveu_cdf(tp, v)) < crit
 
+    def test_graded_rule_is_numpys_leggauss_10(self):
+        nodes, weights = np.polynomial.legendre.leggauss(10)
+        assert limits._GL.tobytes() == nodes.tobytes() and limits._GW.tobytes() == weights.tobytes()
+
     def test_time_zero_is_step_at_one(self):
         tp = TimePoint.from_time(0.0)
         pts = np.array([0.5, 1.0 - 1e-12, 1.0, 2.0])

@@ -50,6 +50,9 @@ def _zero_generator(n):
 
 GUARDS = {
     "TimePoint alpha": (lambda: TimePoint(0.0, 1.5), "alpha must lie in"),
+    # from_alpha raised "math domain error" from the log before checking alpha
+    "TimePoint.from_alpha 0": (lambda: TimePoint.from_alpha(0.0), r"alpha must lie in \(0, 1\], got 0\.0"),
+    "TimePoint.from_alpha -1": (lambda: TimePoint.from_alpha(-1.0), r"alpha must lie in \(0, 1\], got -1\.0"),
     "fixation_pgf i": (lambda: fixation_pgf(0, TP, 0.5), "initial state must be positive"),
     "fixation_pgf z": (lambda: fixation_pgf(1, TP, 1.0), r"\|z\| < 1"),
     "fixation_transition state": (lambda: fixation_transition(0, 2, TP), "states must be positive"),
@@ -90,6 +93,20 @@ GUARDS = {
     "hitting_probability integral past float range": (
         lambda: hitting_probability(1, 10**400, "integral"),
         "j - i of 1329 bits",
+    ),
+    "absorption_cdf t past float range": (lambda: absorption_cdf(10, 2, 10**400), "t of 1329 bits exceeds the float range"),
+    "TimePoint.from_time t past float range": (
+        lambda: TimePoint.from_time(10**400),
+        "t of 1329 bits exceeds the float range",
+    ),
+    "gumbel_limit_cdf x past float range": (lambda: gumbel_limit_cdf(2, 10**400), "x of 1329 bits exceeds the float range"),
+    "gumbel_limit_cdf -x past float range": (
+        lambda: gumbel_limit_cdf(2, -(10**400)),
+        "x of 1329 bits exceeds the float range",
+    ),
+    "edgeworth_cdf x past float range": (
+        lambda: edgeworth_cdf(100, 2, 10**400, 2),
+        "x of 1329 bits exceeds the float range",
     ),
     "TriangularMatrix orientation": (lambda: TriangularMatrix(1, "diagonal", ONE), "orientation must be"),
     "TriangularMatrix ragged": (lambda: TriangularMatrix(2, "upper", ((1, 0), (1,))), "n x n array"),
